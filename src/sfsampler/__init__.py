@@ -7,11 +7,8 @@ from .drift import (
     NoisePool,
     QuadratureDrift,
     SteinMcDrift,
-    gmm_exact_drift,
     make_drift,
     make_noise_pool,
-    quadrature_drift,
-    stein_mc_drift,
 )
 from .errors import ConfigError, DivergenceError, GradientUnavailable, ZeroMassError
 from .metrics import (

@@ -45,6 +45,11 @@ EXIT_GATE = 4
 
 DEFAULT_BAND = (0.85, 1.15)
 
+# integer fields: (inclusive lower bound, exclusive upper bound); seeds key a uint64 Philox stream
+INT_FIELDS = {"n_chains": (1, None), "seed": (0, 2**64), "threads": (1, None), "M": (2, None),
+              "ref_level": (None, None)}
+REAL_FIELDS = ("beta", "h", "gamma", "horizon")
+
 
 @dataclass
 class RunConfig:
@@ -110,7 +115,23 @@ def load_config(path=None, overrides=None) -> RunConfig:
     return cfg
 
 
+def _check_int(name, value, low=None, high=None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"field '{name}': expected an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigError(f"field '{name}': must be >= {low}, got {value}")
+    if high is not None and value >= high:
+        raise ConfigError(f"field '{name}': must be < {high}, got {value}")
+    return value
+
+
 def _validate(cfg: RunConfig):
+    for name, (low, high) in INT_FIELDS.items():
+        _check_int(name, getattr(cfg, name), low, high)
+    for name in REAL_FIELDS:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"field '{name}': expected a number, got {value!r}")
     if cfg.sampler not in ("sfs", "ula", "uld", "baoab"):
         raise ConfigError(f"field 'sampler': unknown sampler '{cfg.sampler}'")
     if cfg.drift not in ("auto",) + DRIFT_VARIANTS:
@@ -119,12 +140,6 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"field 'beta': must be positive, got {cfg.beta}")
     if not (0 < cfg.h <= 1):
         raise ConfigError(f"field 'h': must be in (0, 1], got {cfg.h}")
-    if cfg.n_chains < 1:
-        raise ConfigError(f"field 'n_chains': must be >= 1, got {cfg.n_chains}")
-    if cfg.M < 2:
-        raise ConfigError(f"field 'M': must be >= 2, got {cfg.M}")
-    if cfg.threads < 1:
-        raise ConfigError(f"field 'threads': must be >= 1, got {cfg.threads}")
     if len(cfg.band) != 2 or not cfg.band[0] < cfg.band[1]:
         raise ConfigError(f"field 'band': expected [low, high], got {cfg.band}")
 
@@ -221,11 +236,29 @@ def cmd_convergence(cfg: RunConfig) -> int:
 
 
 def _compare_variants(cfg: RunConfig) -> list:
+    """Validated (label, config) per variant; labels name the output files, so must be unique."""
     if cfg.variants:
-        return [dict(v) for v in cfg.variants]
-    if cfg.betas:
-        return [{"label": f"sfs_beta{b:g}", "sampler": "sfs", "beta": b} for b in cfg.betas]
-    raise ConfigError("compare needs either 'variants' (>= 2) or a 'betas' list")
+        source, docs = "variants", cfg.variants
+    elif cfg.betas:
+        source, docs = "betas", [{"sampler": "sfs", "beta": b} for b in cfg.betas]
+    else:
+        raise ConfigError("compare needs either 'variants' (>= 2) or a 'betas' list")
+    base = cfg.to_dict()
+    variants = []
+    for doc in docs:
+        if not isinstance(doc, dict):
+            raise ConfigError(f"field '{source}': each variant must be an object, got {doc!r}")
+        unknown = sorted(set(doc) - set(base) - {"label"})
+        if unknown:
+            raise ConfigError(f"field '{source}': unknown variant field(s) {unknown}")
+        sub = RunConfig(**{**base, **{k: v for k, v in doc.items() if k != "label"}})
+        _validate(sub)
+        variants.append((doc.get("label") or f"{sub.sampler}_beta{sub.beta:g}", sub))
+    labels = [label for label, _ in variants]
+    duplicates = sorted({label for label in labels if labels.count(label) > 1})
+    if duplicates:
+        raise ConfigError(f"field '{source}': duplicate variant labels {duplicates}")
+    return variants
 
 
 def cmd_compare(cfg: RunConfig) -> int:
@@ -236,9 +269,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     batches, labels = [], []
     failures = []
-    for var in variants:
-        sub = RunConfig(**{**cfg.to_dict(), **{k: v for k, v in var.items() if k != "label"}})
-        label = var.get("label") or f"{sub.sampler}_beta{sub.beta:g}"
+    for label, sub in variants:
         scfg = _sampler_config(sub, target)
         try:
             batch = run_ensemble(scfg, target, sub.n_chains, sub.seed, threads=sub.threads)
@@ -330,7 +361,8 @@ def cmd_drift_check(args) -> int:
         variant = "gmm_exact" if target.mixture is not None else "stein_mc"
     pool = None
     if variant in ("stein_mc", "grad_mc"):
-        gen = RngStream(int(doc.get("seed", 42)), 0).generator()
+        seed = _check_int("seed", doc.get("seed", 42), *INT_FIELDS["seed"])
+        gen = RngStream(seed, 0).generator()
         pool = make_noise_pool(int(doc.get("M", 200)), target.dim, gen,
                                antithetic=bool(doc.get("antithetic", False)))
     drift_fn = make_drift(target, beta, variant, pool=pool,

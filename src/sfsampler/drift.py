@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import ConfigError, ZeroMassError
 from .numerics import gauss_hermite_normal, softmax
@@ -41,10 +40,6 @@ class NoisePool:
     antithetic: bool = False
 
     @property
-    def n_samples(self) -> int:
-        return self.xi.shape[-2]
-
-    @property
     def dim(self) -> int:
         return self.xi.shape[-1]
 
@@ -70,18 +65,20 @@ def make_noise_pool(M, d, rng, antithetic=False) -> NoisePool:
 def stack_pools(pools) -> NoisePool:
     """Stack per-chain pools into one (B, M, d) pool for batched evaluation."""
     xi = np.stack([p.xi for p in pools])
-    anti = all(p.antithetic for p in pools)
-    return NoisePool(xi=xi, antithetic=anti)
+    return NoisePool(xi=xi, antithetic=all(p.antithetic for p in pools))
 
 
 class GmmExactDrift:
     """Closed-form drift for Gaussian-mixture targets.
 
-    Per component, with s = (1-t) beta and C_i(t) = t Sigma_i + s I, the
-    smoothed component mean is u_i = C_i^{-1} (Sigma_i x + s alpha_i) and the
-    drift is (sum_i p_i u_i - x) / (1 - t) with log-domain weights p_i built
-    from theta_i, det C_i and the component quadratic forms. Linear solves go
-    through Cholesky factors; diagonal covariances take an O(d) fast path.
+    The reference N(0, beta I) is isotropic, so in component i's eigenbasis
+    (Sigma_i = Q_i diag(lambda_i) Q_i^T) the smoothed covariance
+    C_i(t) = Q_i (t lambda_i + s) Q_i^T, s = (1-t) beta, is diagonal. With
+    rotated coordinates x~ = Q_i^T x and alpha~ = Q_i^T alpha_i, the smoothed
+    component mean is u~ = (lambda_i x~ + s alpha~) / (t lambda_i + s) and the
+    drift is (sum_i p_i Q_i u~_i - x) / (1 - t), with log-domain weights p_i
+    built from theta_i, det C_i and the component quadratic forms. Both
+    rotations are skipped when every covariance is diagonal.
     """
 
     def __init__(self, target, beta):
@@ -91,65 +88,43 @@ class GmmExactDrift:
         self.beta = float(beta)
         if not (self.beta > 0 and np.isfinite(self.beta)):
             raise ConfigError(f"beta must be positive and finite, got {beta}")
-        self.gmm = gmm
         self.log_theta = np.log(gmm.weights)
-        self.diagonal = gmm.is_diagonal
-        if self.diagonal:
-            self.sig = gmm.diag_variances()          # (kappa, d)
-            self.alpha = gmm.means                   # (kappa, d)
-            self.alpha_quad = np.sum(self.alpha**2 / self.sig, axis=-1)
-        else:
-            self.sig_inv_alpha = np.stack(
-                [c.solve(m) for c, m in zip(gmm.covs, gmm.means)]
-            )
-            self.alpha_quad = np.array(
-                [float(m @ sia) for m, sia in zip(gmm.means, self.sig_inv_alpha)]
-            )
+        self.sig = gmm.eigvals                       # (kappa, d)
+        self.alpha = gmm.rotated_means               # (kappa, d)
+        self.alpha_quad = np.sum(self.alpha**2 / self.sig, axis=-1)
+        self.diagonal = gmm.rotations is None
+        if not self.diagonal:
+            # x @ rot_in stacks x Q_i over components; w @ rot_in.T sums w_i Q_i^T
+            self.rot_in = np.concatenate(gmm.rotations, axis=1)   # (d, kappa d)
 
     def __call__(self, x, t):
         t = _check_t(t)
         x = np.asarray(x, dtype=float)
         beta = self.beta
         s = (1.0 - t) * beta
+        # (..., kappa, d) intermediates
         if self.diagonal:
-            # (..., kappa, d) intermediates
             xk = x[..., None, :]
-            c = t * self.sig + s
-            u = (self.sig * xk + s * self.alpha) / c
-            term = (
-                xk * xk * (self.sig - beta) / (2.0 * beta)
-                + xk * self.alpha
-                + 0.5 * s * self.alpha**2 / self.sig
-            ) / c
-            logw = (
-                self.log_theta
-                - 0.5 * np.sum(np.log(c), axis=-1)
-                + np.sum(term, axis=-1)
-                - 0.5 * self.alpha_quad
-            )
         else:
-            gmm = self.gmm
-            xsq = np.sum(x * x, axis=-1)
-            u = np.empty(x.shape[:-1] + (gmm.n_components, x.shape[-1]))
-            logw = np.empty(x.shape[:-1] + (gmm.n_components,))
-            eye = np.eye(gmm.dim)
-            for i, cov in enumerate(gmm.covs):
-                C = t * cov.entries + s * eye
-                cholC = np.linalg.cholesky(C)
-                r = x @ cov.entries.T + s * gmm.means[i]
-                ui = cho_solve((cholC, True), r[..., None])[..., 0]
-                u[..., i, :] = ui
-                # quadratic form of the smoothed component, minus the shared
-                # ||x||^2/(2s) term so everything stays finite as t -> 1
-                quad = np.sum((x + s * self.sig_inv_alpha[i]) * ui, axis=-1)
-                logw[..., i] = (
-                    self.log_theta[i]
-                    - np.sum(np.log(np.diag(cholC)))
-                    + (quad - xsq) / (2.0 * s)
-                    - 0.5 * self.alpha_quad[i]
-                )
+            xk = (x @ self.rot_in).reshape(x.shape[:-1] + self.sig.shape)
+        c = t * self.sig + s
+        u = (self.sig * xk + s * self.alpha) / c
+        term = (
+            xk * xk * (self.sig - beta) / (2.0 * beta)
+            + xk * self.alpha
+            + 0.5 * s * self.alpha**2 / self.sig
+        ) / c
+        logw = (
+            self.log_theta
+            - 0.5 * np.sum(np.log(c), axis=-1)
+            + np.sum(term, axis=-1)
+            - 0.5 * self.alpha_quad
+        )
         p = softmax(logw, axis=-1)
-        return (np.sum(p[..., None] * u, axis=-2) - x) / (1.0 - t)
+        if self.diagonal:
+            return (np.sum(p[..., None] * u, axis=-2) - x) / (1.0 - t)
+        pu = (p[..., None] * u).reshape(x.shape[:-1] + (-1,))
+        return (pu @ self.rot_in.T - x) / (1.0 - t)
 
 
 class SteinMcDrift:
@@ -223,21 +198,6 @@ class QuadratureDrift:
         logits = self.log_wts + self.target.log_g_beta(beta, y)
         p = softmax(logits, axis=-1)
         return np.sqrt(beta / (1.0 - t)) * np.sum(p[..., None] * self.nodes, axis=-2)
-
-
-def gmm_exact_drift(target, beta, x, t):
-    """Closed-form drift of a Gaussian-mixture target at (x, t)."""
-    return GmmExactDrift(target, beta)(x, t)
-
-
-def stein_mc_drift(target, beta, pool, x, t, form="stein"):
-    """Monte Carlo drift estimate at (x, t) using a fixed pool."""
-    return SteinMcDrift(target, beta, pool, form=form)(x, t)
-
-
-def quadrature_drift(target, beta, x, t, n_nodes=64):
-    """Gauss-Hermite oracle drift at (x, t), d <= 2."""
-    return QuadratureDrift(target, beta, n_nodes=n_nodes)(x, t)
 
 
 def make_drift(target: TargetSpec, beta, variant, pool=None, n_nodes=64):

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import ConfigError
 
@@ -92,15 +91,17 @@ class SpdMatrix:
 
     @property
     def is_diagonal(self) -> bool:
-        off = self.entries - np.diag(np.diag(self.entries))
-        return bool(np.all(off == 0.0))
+        return bool(np.all(self.entries == np.diag(self.diagonal_part)))
 
-    def solve(self, b):
-        """Solve A x = b using the stored Cholesky factor."""
-        return cho_solve((self.chol, True), b)
+    def eigen(self):
+        """Eigenvalues lam and orthonormal eigenvector columns Q, A = Q diag(lam) Q^T.
 
-    def logdet(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
+        A diagonal matrix returns its diagonal in place and Q = None: eigh
+        would sort the eigenvalues and return a permutation, not the identity.
+        """
+        if self.is_diagonal:
+            return self.diagonal_part, None
+        return np.linalg.eigh(self.entries)
 
     def sample(self, mean, gen, n):
         """Draw n points from N(mean, A)."""

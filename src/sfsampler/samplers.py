@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -106,11 +106,12 @@ def _check_finite(y, step):
         )
 
 
-def _finish(y, path, single, record):
-    if record:
-        traj = np.stack(path, axis=1)
-        return (y[0], traj[0]) if single else (y, traj)
-    return y[0] if single else y
+def _finish(states, path, single, record):
+    """The terminal states, then the path if recorded; a single chain drops its chain axis."""
+    out = states + (np.stack(path, axis=1),) if record else states
+    if single:
+        out = tuple(a[0] for a in out)
+    return out[0] if len(out) == 1 else out
 
 
 def sfs_run(drift_fn, cfg: SfsConfig, increments):
@@ -132,7 +133,7 @@ def sfs_run(drift_fn, cfg: SfsConfig, increments):
         _check_finite(y, n)
         if path is not None:
             path.append(y.copy())
-    return _finish(y, path, single, cfg.record_path)
+    return _finish((y,), path, single, cfg.record_path)
 
 
 def ula_run(target: TargetSpec, cfg: LangevinConfig, increments):
@@ -147,7 +148,7 @@ def ula_run(target: TargetSpec, cfg: LangevinConfig, increments):
         _check_finite(x, n)
         if path is not None:
             path.append(x.copy())
-    return _finish(x, path, single, cfg.record_path)
+    return _finish((x,), path, single, cfg.record_path)
 
 
 def uld_euler_run(target: TargetSpec, cfg: LangevinConfig, increments):
@@ -165,11 +166,7 @@ def uld_euler_run(target: TargetSpec, cfg: LangevinConfig, increments):
         _check_finite(np.concatenate([x, m], axis=-1), n)
         if path is not None:
             path.append(x.copy())
-    out = (x[0], m[0]) if single else (x, m)
-    if cfg.record_path:
-        traj = np.stack(path, axis=1)
-        return out + ((traj[0] if single else traj),)
-    return out
+    return _finish((x, m), path, single, cfg.record_path)
 
 
 def baoab_run(target: TargetSpec, cfg: LangevinConfig, gaussians):
@@ -194,20 +191,13 @@ def baoab_run(target: TargetSpec, cfg: LangevinConfig, gaussians):
         _check_finite(np.concatenate([x, m], axis=-1), n)
         if path is not None:
             path.append(x.copy())
-    out = (x[0], m[0]) if single else (x, m)
-    if cfg.record_path:
-        traj = np.stack(path, axis=1)
-        return out + ((traj[0] if single else traj),)
-    return out
+    return _finish((x, m), path, single, cfg.record_path)
 
 
 def _initial_state(x0, n_chains, d):
     if x0 is None:
         return np.zeros((n_chains, d))
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 1:
-        return np.tile(x0, (n_chains, 1))
-    return x0.copy()
+    return np.array(np.broadcast_to(np.asarray(x0, dtype=float), (n_chains, d)))
 
 
 @dataclass
@@ -258,15 +248,9 @@ def _run_block(cfg, target, root_seed, chain_ids):
         drift_fn = make_drift(
             target, cfg.beta, cfg.drift, pool=inputs.get("pool"), n_nodes=cfg.n_nodes
         )
-        run_cfg = cfg if not cfg.record_path else SfsConfig(
-            n_steps=cfg.n_steps, beta=cfg.beta, drift=cfg.drift, n_mc=cfg.n_mc,
-            antithetic=cfg.antithetic, n_nodes=cfg.n_nodes, record_path=False,
-        )
-        return sfs_run(drift_fn, run_cfg, inputs["noise"])
+        return sfs_run(drift_fn, replace(cfg, record_path=False), inputs["noise"])
     lcfg = cfg
     if "m0" in inputs:
-        from dataclasses import replace
-
         lcfg = replace(cfg, m0=inputs["m0"], draw_momentum=False)
     if cfg.method == "ula":
         return ula_run(target, lcfg, inputs["noise"])
@@ -306,8 +290,11 @@ def run_ensemble(cfg, target: TargetSpec, n_chains, root_seed, threads=1) -> Sam
     failed = [err for _, err in results if err is not None]
     if failed:
         chains = sorted(c for err in failed for c in (err.chains or []))
+        step = min((err.step for err in failed if err.step is not None), default=None)
         raise DivergenceError(
-            f"{len(chains)} chains diverged: {chains[:20]}{'...' if len(chains) > 20 else ''}",
+            f"{len(chains)} chains diverged, first at step {step}: "
+            f"{chains[:20]}{'...' if len(chains) > 20 else ''}",
+            step=step,
             chains=chains,
         )
     samples = np.concatenate([out for out, _ in results], axis=0)
@@ -321,7 +308,6 @@ def run_ensemble(cfg, target: TargetSpec, n_chains, root_seed, threads=1) -> Sam
         "seed": int(root_seed),
         "n_chains": int(n_chains),
         "dim": target.dim,
-        "wall_time_s": None,  # filled below; excluded from serialized artifacts
+        "wall_time_s": time.perf_counter() - t0,  # excluded from serialized artifacts
     }
-    meta["wall_time_s"] = time.perf_counter() - t0
     return SampleBatch(samples=samples, meta=meta)

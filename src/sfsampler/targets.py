@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import ConfigError, GradientUnavailable
 from .numerics import SpdMatrix, log_sum_exp, softmax
@@ -39,11 +38,36 @@ def _as_spd(cov, dim=None) -> SpdMatrix:
 
 @dataclass(frozen=True)
 class GaussianMixture:
-    """A mixture sum_i theta_i N(alpha_i, Sigma_i) with normalized weights."""
+    """A mixture sum_i theta_i N(alpha_i, Sigma_i) with normalized weights.
+
+    Each covariance is also kept in its eigenbasis, Sigma_i = Q_i diag(lambda_i) Q_i^T,
+    computed once at construction. The exact drift, the component densities and
+    grad V all work in the rotated coordinates Q_i^T x, where every component is
+    diagonal. `rotations` is None when every Sigma_i is diagonal (all Q_i = I).
+    """
 
     weights: np.ndarray        # (kappa,)
     means: np.ndarray          # (kappa, d)
     covs: tuple                # kappa SpdMatrix instances
+    # derived at construction: (kappa, d) lambda_i, (kappa, d, d) Q_i, (kappa, d) Q_i^T alpha_i
+    eigvals: np.ndarray = field(init=False, repr=False, compare=False)
+    rotations: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    rotated_means: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        eig = [c.eigen() for c in self.covs]
+        lam = np.stack([vals for vals, _ in eig])
+        if np.any(lam <= 0.0):
+            raise ConfigError("covariance is numerically singular (non-positive eigenvalue)")
+        if all(q is None for _, q in eig):
+            rot, rotated_means = None, self.means
+        else:
+            rot = np.stack([np.eye(self.dim) if q is None else q for _, q in eig])
+            rotated_means = np.stack([m @ q for m, q in zip(self.means, rot)])
+        sd = np.sqrt(lam)
+        for name, value in (("eigvals", lam), ("rotations", rot), ("rotated_means", rotated_means),
+                            ("_inv_sd", 1.0 / sd), ("_logdets", 2.0 * np.sum(np.log(sd), axis=-1))):
+            object.__setattr__(self, name, value)
 
     @property
     def n_components(self) -> int:
@@ -53,16 +77,19 @@ class GaussianMixture:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    @property
-    def is_diagonal(self) -> bool:
-        return all(c.is_diagonal for c in self.covs)
-
-    def diag_variances(self):
-        """(kappa, d) diagonal variances; only valid when is_diagonal."""
-        return np.stack([c.diagonal_part for c in self.covs])
-
     def max_std(self) -> float:
         return float(np.sqrt(max(np.max(c.diagonal_part) for c in self.covs)))
+
+    def _whitened(self, xf, i):
+        """diag(lambda_i)^(-1/2) Q_i^T (x - alpha_i): component i becomes N(0, I)."""
+        if self.rotations is None:
+            return (xf - self.means[i]) * self._inv_sd[i]
+        return ((xf - self.means[i]) @ self.rotations[i]) * self._inv_sd[i]
+
+    def _precision_times(self, xf, i):
+        """Sigma_i^{-1} (x - alpha_i)."""
+        w = self._whitened(xf, i) * self._inv_sd[i]
+        return w if self.rotations is None else w @ self.rotations[i].T
 
     def component_log_densities(self, x):
         """log N(x; alpha_i, Sigma_i) for each component; x shape (..., d) -> (..., kappa)."""
@@ -70,9 +97,9 @@ class GaussianMixture:
         lead = x.shape[:-1]
         xf = x.reshape(-1, self.dim)
         out = np.empty((xf.shape[0], self.n_components))
-        for i, cov in enumerate(self.covs):
-            z = solve_triangular(cov.chol, (xf - self.means[i]).T, lower=True)
-            out[:, i] = -0.5 * (self.dim * _LOG_2PI + cov.logdet() + np.sum(z * z, axis=0))
+        for i in range(self.n_components):
+            z = self._whitened(xf, i)
+            out[:, i] = -0.5 * (self.dim * _LOG_2PI + self._logdets[i] + np.sum(z * z, axis=-1))
         return out.reshape(lead + (self.n_components,))
 
     def log_density(self, x):
@@ -89,8 +116,8 @@ class GaussianMixture:
         xf = x.reshape(-1, self.dim)
         p = softmax(self.component_log_densities(xf) + np.log(self.weights), axis=-1)
         g = np.zeros_like(xf)
-        for i, cov in enumerate(self.covs):
-            g += p[:, i : i + 1] * cov.solve((xf - self.means[i]).T).T
+        for i in range(self.n_components):
+            g += p[:, i : i + 1] * self._precision_times(xf, i)
         return g.reshape(lead + (self.dim,))
 
     def sample(self, n, gen):
@@ -286,6 +313,7 @@ def _make_bayes_ridge(y, sigma1=1.0, sigma2=1.0):
     return y, potential, grad
 
 
+_SHAPED_2D = {"ring": _make_ring, "funnel": _make_funnel, "example64": _make_example64}
 BUILTIN_KINDS = ("gaussian_mixture", "two_mode_gmm", "ring", "funnel", "example64", "bayes_ridge")
 
 
@@ -295,15 +323,9 @@ def make_builtin(kind, rho=0.0, **params) -> TargetSpec:
         return make_gaussian_mixture(rho=rho, **params)
     if kind == "two_mode_gmm":
         return make_two_mode_gmm(rho=rho, **params)
-    if kind == "ring":
-        potential, grad = _make_ring(**params)
-        return TargetSpec("ring", 2, potential, grad, params=dict(params), rho=rho)
-    if kind == "funnel":
-        potential, grad = _make_funnel(**params)
-        return TargetSpec("funnel", 2, potential, grad, params=dict(params), rho=rho)
-    if kind == "example64":
-        potential, grad = _make_example64(**params)
-        return TargetSpec("example64", 2, potential, grad, params=dict(params), rho=rho)
+    if kind in _SHAPED_2D:
+        potential, grad = _SHAPED_2D[kind](**params)
+        return TargetSpec(kind, 2, potential, grad, params=dict(params), rho=rho)
     if kind == "bayes_ridge":
         y, potential, grad = _make_bayes_ridge(**params)
         p = dict(params)

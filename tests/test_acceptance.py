@@ -12,21 +12,21 @@ import time
 import numpy as np
 
 from sfsampler import (
+    GmmExactDrift,
     LangevinConfig,
+    QuadratureDrift,
     RngStream,
     SfsConfig,
+    SteinMcDrift,
     fit_loglog_slope,
     gaussian_w2_analytic,
-    gmm_exact_drift,
     make_builtin,
     make_gaussian_mixture,
     make_noise_pool,
     make_two_mode_gmm,
     mode_weights,
     moment_stats,
-    quadrature_drift,
     run_ensemble,
-    stein_mc_drift,
     strong_error_curve,
     w2_1d,
     w2_exact_smalln,
@@ -105,14 +105,14 @@ def test_criterion_03_mc_drift_rate():
     """Monte Carlo drift error decays as M^(-1/2) at a fixed (x, t)."""
     target = skewed_bimodal_target(separation=2.0)
     x, t = np.array([0.3]), 0.5
-    exact = gmm_exact_drift(target, 1.0, x, t)
+    exact = GmmExactDrift(target, 1.0)(x, t)
     Ms = [16, 64, 256, 1024, 4096]
     rmse = []
     for M in Ms:
         errs = []
         for p in range(200):
             pool = make_noise_pool(M, 1, RngStream(777, p))
-            est = stein_mc_drift(target, 1.0, pool, x, t, form="grad")
+            est = SteinMcDrift(target, 1.0, pool, form="grad")(x, t)
             errs.append(np.sum((est - exact) ** 2))
         rmse.append(float(np.sqrt(np.mean(errs))))
     slope, _, r2 = fit_loglog_slope(Ms, rmse)
@@ -153,8 +153,8 @@ def test_criterion_04_drift_oracle_agreement():
         for _ in range(50):
             x = rng.standard_normal(d) * 2.0
             t = rng.uniform(0.0, 1.0 - 2.0**-9)
-            f = gmm_exact_drift(target, 1.0, x, t)
-            q = quadrature_drift(target, 1.0, x, t)
+            f = GmmExactDrift(target, 1.0)(x, t)
+            q = QuadratureDrift(target, 1.0)(x, t)
             worst = max(worst, float(np.max(np.abs(f - q))))
     ok = worst < 1e-6
     _report(4, "drift oracle agreement", ok, f"max |closed - quadrature| {worst:.2e} < 1e-6")

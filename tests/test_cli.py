@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from sfsampler import gmm_exact_drift, make_gaussian_mixture
+from sfsampler import GmmExactDrift, make_gaussian_mixture
 from sfsampler.cli import main
 from sfsampler.output import write_samples_csv
 
@@ -33,7 +33,7 @@ class TestDriftCheck:
         assert main(["drift-check", "--input", str(path)]) == 0
         out = json.loads(capsys.readouterr().out)
         target = make_gaussian_mixture(**{k: PM2_TARGET[k] for k in ("weights", "means", "covs")})
-        expected = gmm_exact_drift(target, 1.0, np.array([0.3]), 0.5)
+        expected = GmmExactDrift(target, 1.0)(np.array([0.3]), 0.5)
         assert out["variant"] == "gmm_exact"
         assert np.asarray(out["drift"]) == pytest.approx(expected, rel=1e-12)
 
@@ -82,6 +82,23 @@ class TestConfigHandling:
     def test_bad_h_rejected(self, tmp_path):
         cfg = write_config(tmp_path, target=PM2_TARGET, h=0.3)
         assert main(["sample", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_chains", "10"), ("seed", True), ("threads", 1.5), ("M", "200"), ("ref_level", 12.0)],
+    )
+    def test_non_integer_field_named(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path, target=PM2_TARGET, h=0.125, out=str(tmp_path / "o"),
+                           **{field: value})
+        assert main(["sample", "--config", cfg]) == 2
+        assert f"field '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_uint64_named(self, tmp_path, capsys, seed):
+        cfg = write_config(tmp_path, target=PM2_TARGET, h=0.125, out=str(tmp_path / "o"))
+        assert main(["sample", "--config", cfg, "--seed", seed]) == 2
+        assert "field 'seed'" in capsys.readouterr().err
 
 
 class TestSample:
@@ -266,6 +283,20 @@ class TestCompare:
         assert main(["compare", "--config", cfg]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["w2"]["a|b"] == 0.0
+
+    @pytest.mark.parametrize(
+        "field, doc",
+        [
+            ("betas", {"betas": [1, 1.0]}),
+            ("variants", {"variants": [{"label": "a", "beta": 1.0}, {"label": "a", "beta": 2.0}]}),
+        ],
+    )
+    def test_duplicate_labels_rejected_before_sampling(self, tmp_path, capsys, field, doc):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, target=PM2_TARGET, h=0.0625, n_chains=8, out=str(out), **doc)
+        assert main(["compare", "--config", cfg]) == 2
+        assert f"field '{field}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_single_variant_rejected(self, tmp_path):
         cfg = write_config(

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from sfsampler import (
+    GmmExactDrift,
     NoisePool,
+    QuadratureDrift,
     RngStream,
+    SteinMcDrift,
     fit_loglog_slope,
-    gmm_exact_drift,
     make_builtin,
     make_drift,
     make_gaussian_mixture,
     make_noise_pool,
     make_two_mode_gmm,
-    quadrature_drift,
-    stein_mc_drift,
 )
 from sfsampler.errors import ConfigError, ZeroMassError
 
@@ -57,7 +57,7 @@ class TestGmmExactDrift:
         for beta in (0.5, 1.0, 3.0):
             t = make_gaussian_mixture([1.0], [[0.0, 0.0]], [beta * np.eye(2)])
             for tt in (0.0, 0.3, 0.99):
-                f = gmm_exact_drift(t, beta, np.array([0.7, -2.0]), tt)
+                f = GmmExactDrift(t, beta)(np.array([0.7, -2.0]), tt)
                 assert f == pytest.approx([0.0, 0.0], abs=1e-12)
 
     def test_shifted_gaussian_constant_drift(self):
@@ -66,20 +66,20 @@ class TestGmmExactDrift:
         t = make_gaussian_mixture([1.0], [alpha], [beta * np.eye(2)])
         for tt in (0.0, 0.5, 0.9):
             for x in (np.zeros(2), np.array([3.0, 1.0])):
-                assert gmm_exact_drift(t, beta, x, tt) == pytest.approx(alpha, abs=1e-12)
+                assert GmmExactDrift(t, beta)(x, tt) == pytest.approx(alpha, abs=1e-12)
 
     def test_shifted_gaussian_matches_quadrature(self):
         beta = 2.0
         t = make_gaussian_mixture([1.0], [1.5], [beta])
-        f = gmm_exact_drift(t, beta, np.array([0.4]), 0.3)
-        q = quadrature_drift(t, beta, np.array([0.4]), 0.3)
+        f = GmmExactDrift(t, beta)(np.array([0.4]), 0.3)
+        q = QuadratureDrift(t, beta)(np.array([0.4]), 0.3)
         assert f == pytest.approx(q, abs=1e-8)
 
     def test_skewed_bimodal_point_matches_quadrature(self):
         t = pm2_target()
         x, tt = np.array([0.3]), 0.5
-        f = gmm_exact_drift(t, 1.0, x, tt)
-        q = quadrature_drift(t, 1.0, x, tt)
+        f = GmmExactDrift(t, 1.0)(x, tt)
+        q = QuadratureDrift(t, 1.0)(x, tt)
         assert f == pytest.approx(q, abs=1e-6)
 
     def test_full_covariance_matches_quadrature(self):
@@ -92,41 +92,59 @@ class TestGmmExactDrift:
         for _ in range(10):
             x = rng.standard_normal(2) * 2.0
             tt = rng.uniform(0.0, 1.0 - 2.0**-9)
-            f = gmm_exact_drift(t, 1.0, x, tt)
-            q = quadrature_drift(t, 1.0, x, tt)
+            f = GmmExactDrift(t, 1.0)(x, tt)
+            q = QuadratureDrift(t, 1.0)(x, tt)
             assert f == pytest.approx(q, abs=1e-6)
+
+    def test_rotation_equivariance(self):
+        # rotating a diagonal mixture by R rotates its drift: f_R(R x, t) = R f(x, t);
+        # the diagonal target takes the unrotated path, the rotated one the eigenbasis path
+        weights = [0.3, 0.5, 0.2]
+        means = np.array([[-2.0, 0.5, 1.0], [2.0, -1.0, 0.0], [0.0, 2.0, -1.5]])
+        variances = np.array([[0.3, 1.2, 0.7], [0.9, 0.4, 1.5], [0.6, 0.6, 0.2]])
+        r, _ = np.linalg.qr(np.random.default_rng(21).standard_normal((3, 3)))
+        rotated_covs = [(r * v) @ r.T for v in variances]
+        rotated_covs = [0.5 * (c + c.T) for c in rotated_covs]
+        plain = make_gaussian_mixture(weights, means, list(variances))
+        rotated = make_gaussian_mixture(weights, means @ r.T, rotated_covs)
+        x = np.random.default_rng(22).standard_normal((16, 3)) * 2.0
+        for beta in (1.0, 2.5):
+            f, f_r = GmmExactDrift(plain, beta), GmmExactDrift(rotated, beta)
+            assert f.diagonal and not f_r.diagonal
+            for tt in (0.0, 0.5, 0.99):
+                assert np.max(np.abs(f_r(x @ r.T, tt) - f(x, tt) @ r.T)) < 1e-10
 
     def test_symmetric_mixture_odd_drift(self):
         # symmetric target: f(-x, t) = -f(x, t)
         t = make_gaussian_mixture([0.5, 0.5], [-3.0, 3.0], [0.5, 0.5])
         x = np.array([0.8])
         for tt in (0.1, 0.6, 0.95):
-            assert gmm_exact_drift(t, 1.0, -x, tt) == pytest.approx(
-                -gmm_exact_drift(t, 1.0, x, tt), abs=1e-12
+            assert GmmExactDrift(t, 1.0)(-x, tt) == pytest.approx(
+                -GmmExactDrift(t, 1.0)(x, tt), abs=1e-12
             )
 
     def test_batched_evaluation(self):
         t = pm2_target()
         xs = np.array([[-1.0], [0.3], [2.0]])
-        batched = gmm_exact_drift(t, 1.0, xs, 0.5)
-        singles = np.stack([gmm_exact_drift(t, 1.0, x, 0.5) for x in xs])
+        batched = GmmExactDrift(t, 1.0)(xs, 0.5)
+        singles = np.stack([GmmExactDrift(t, 1.0)(x, 0.5) for x in xs])
         assert np.array_equal(batched, singles)
 
     def test_far_tail_stays_finite(self):
         t = make_gaussian_mixture([0.75, 0.25], [-6.0, 6.0], [0.2, 0.8])
-        f = gmm_exact_drift(t, 1.0, np.array([80.0]), 0.999)
+        f = GmmExactDrift(t, 1.0)(np.array([80.0]), 0.999)
         assert np.all(np.isfinite(f))
 
     def test_time_domain_validation(self):
         t = pm2_target()
         for bad in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError):
-                gmm_exact_drift(t, 1.0, np.zeros(1), bad)
+                GmmExactDrift(t, 1.0)(np.zeros(1), bad)
 
     def test_requires_mixture(self):
         ring = make_builtin("ring")
         with pytest.raises(ConfigError):
-            gmm_exact_drift(ring, 1.0, np.zeros(2), 0.5)
+            GmmExactDrift(ring, 1.0)(np.zeros(2), 0.5)
 
 
 class TestSteinMcDrift:
@@ -138,7 +156,7 @@ class TestSteinMcDrift:
         beta = 2.0
         t = make_custom(lambda x: np.sum(x * x, axis=-1) / (2.0 * beta), dim=2)
         pool = make_noise_pool(64, 2, RngStream(3, 0), antithetic=True)
-        f = stein_mc_drift(t, beta, pool, np.array([0.7, -1.0]), 0.4)
+        f = SteinMcDrift(t, beta, pool)(np.array([0.7, -1.0]), 0.4)
         assert np.array_equal(f, np.zeros(2))
 
     def test_antithetic_cancellation_gmm_roundoff(self):
@@ -147,7 +165,7 @@ class TestSteinMcDrift:
         beta = 2.0
         t = make_gaussian_mixture([1.0], [[0.0, 0.0]], [beta * np.eye(2)])
         pool = make_noise_pool(64, 2, RngStream(3, 0), antithetic=True)
-        f = stein_mc_drift(t, beta, pool, np.array([0.7, -1.0]), 0.4)
+        f = SteinMcDrift(t, beta, pool)(np.array([0.7, -1.0]), 0.4)
         assert f == pytest.approx([0.0, 0.0], abs=1e-12)
 
     def test_large_pool_approaches_constant_drift(self):
@@ -156,7 +174,7 @@ class TestSteinMcDrift:
         errs = []
         for p in range(200):
             pool = make_noise_pool(M, 1, RngStream(31, p))
-            est = stein_mc_drift(t, beta, pool, np.array([0.4]), 0.3)
+            est = SteinMcDrift(t, beta, pool)(np.array([0.4]), 0.3)
             errs.append(np.sum((est - alpha) ** 2))
         rmse = np.sqrt(np.mean(errs))
         assert rmse < 5.0 * alpha / np.sqrt(M)
@@ -164,14 +182,14 @@ class TestSteinMcDrift:
     def test_grad_form_rate_minus_half(self):
         target = pm2_target()
         x, tt = np.array([0.3]), 0.5
-        exact = gmm_exact_drift(target, 1.0, x, tt)
+        exact = GmmExactDrift(target, 1.0)(x, tt)
         Ms = [16, 64, 256, 1024, 4096]
         rmse = []
         for M in Ms:
             errs = []
             for p in range(200):
                 pool = make_noise_pool(M, 1, RngStream(777, p))
-                est = stein_mc_drift(target, 1.0, pool, x, tt, form="grad")
+                est = SteinMcDrift(target, 1.0, pool, form="grad")(x, tt)
                 errs.append(np.sum((est - exact) ** 2))
             rmse.append(np.sqrt(np.mean(errs)))
         slope, _, _ = fit_loglog_slope(Ms, rmse)
@@ -180,13 +198,13 @@ class TestSteinMcDrift:
     def test_stein_form_error_decreases_with_pool_size(self):
         target = pm2_target()
         x, tt = np.array([0.3]), 0.5
-        exact = gmm_exact_drift(target, 1.0, x, tt)
+        exact = GmmExactDrift(target, 1.0)(x, tt)
         rmse = []
         for M in (16, 256, 4096):
             errs = []
             for p in range(100):
                 pool = make_noise_pool(M, 1, RngStream(777, p))
-                est = stein_mc_drift(target, 1.0, pool, x, tt)
+                est = SteinMcDrift(target, 1.0, pool)(x, tt)
                 errs.append(np.sum((est - exact) ** 2))
             rmse.append(np.sqrt(np.mean(errs)))
         assert rmse[0] > rmse[1] > rmse[2]
@@ -196,9 +214,9 @@ class TestSteinMcDrift:
         target = pm2_target()
         x, tt = np.array([0.3]), 0.5
         pool = make_noise_pool(65536, 1, RngStream(5, 0))
-        a = stein_mc_drift(target, 1.0, pool, x, tt)
-        b = stein_mc_drift(target, 1.0, pool, x, tt, form="grad")
-        exact = gmm_exact_drift(target, 1.0, x, tt)
+        a = SteinMcDrift(target, 1.0, pool)(x, tt)
+        b = SteinMcDrift(target, 1.0, pool, form="grad")(x, tt)
+        exact = GmmExactDrift(target, 1.0)(x, tt)
         assert a == pytest.approx(exact, abs=0.1)
         assert b == pytest.approx(exact, abs=0.1)
 
@@ -211,39 +229,39 @@ class TestSteinMcDrift:
         )
         pool = make_noise_pool(16, 1, RngStream(6, 0))
         with pytest.raises(ZeroMassError):
-            stein_mc_drift(t, 1.0, pool, np.array([50.0]), 0.5)
+            SteinMcDrift(t, 1.0, pool)(np.array([50.0]), 0.5)
 
     def test_dimension_mismatch(self):
         t = pm2_target()
         pool = make_noise_pool(8, 2, RngStream(0, 0))
         with pytest.raises(ConfigError):
-            stein_mc_drift(t, 1.0, pool, np.zeros(1), 0.5)
+            SteinMcDrift(t, 1.0, pool)(np.zeros(1), 0.5)
 
 
 class TestQuadratureDrift:
     def test_centered_gaussian_zero(self):
         beta = 2.0
         t = make_gaussian_mixture([1.0], [[0.0, 0.0]], [beta * np.eye(2)])
-        f = quadrature_drift(t, beta, np.array([0.3, -0.8]), 0.4)
+        f = QuadratureDrift(t, beta)(np.array([0.3, -0.8]), 0.4)
         assert f == pytest.approx([0.0, 0.0], abs=1e-12)
 
     def test_shifted_gaussian_constant(self):
         beta = 2.0
         t = make_gaussian_mixture([1.0], [1.5], [beta])
-        f = quadrature_drift(t, beta, np.array([0.4]), 0.3)
+        f = QuadratureDrift(t, beta)(np.array([0.4]), 0.3)
         assert f == pytest.approx([1.5], abs=1e-8)
 
     def test_ring_regression_pin(self):
         # frozen 64-node value; guards refactors of the oracle itself
         ring = make_builtin("ring", r0=2.0, sigma=0.2)
-        f = quadrature_drift(ring, 1.0, np.array([1.0, 0.0]), 0.2)
+        f = QuadratureDrift(ring, 1.0)(np.array([1.0, 0.0]), 0.2)
         assert f[0] == pytest.approx(0.7102051705436702, abs=1e-12)
         assert f[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_dimension_limit(self):
         t = make_two_mode_gmm(3)
         with pytest.raises(ConfigError):
-            quadrature_drift(t, 1.0, np.zeros(3), 0.5)
+            QuadratureDrift(t, 1.0)(np.zeros(3), 0.5)
 
 
 class TestMakeDrift:

@@ -99,18 +99,26 @@ class TestSpdMatrix:
         with pytest.raises(ConfigError):
             SpdMatrix.from_matrix(np.diag([1.0, 1e-15]))
 
-    def test_solve_matches_dense_solver(self):
+    def test_eigen_reconstructs_matrix(self):
         rng = np.random.default_rng(2)
         b = rng.standard_normal((3, 3))
         a = b @ b.T + 3.0 * np.eye(3)
-        m = SpdMatrix.from_matrix(a)
-        rhs = rng.standard_normal(3)
-        assert m.solve(rhs) == pytest.approx(np.linalg.solve(a, rhs), rel=1e-12)
+        lam, q = SpdMatrix.from_matrix(a).eigen()
+        assert np.max(np.abs(q @ np.diag(lam) @ q.T - a)) < 1e-12
+        assert np.max(np.abs(q.T @ q - np.eye(3))) < 1e-12
 
-    def test_logdet(self):
-        a = np.diag([2.0, 0.5, 4.0])
-        m = SpdMatrix.from_matrix(a)
-        assert m.logdet() == pytest.approx(np.log(4.0))
+    def test_eigen_logdet(self):
+        for a in (np.diag([2.0, 0.5, 4.0]), np.array([[1.0, 0.6], [0.6, 2.0]])):
+            lam, _ = SpdMatrix.from_matrix(a).eigen()
+            sign, logdet = np.linalg.slogdet(a)
+            assert sign == 1.0
+            assert np.sum(np.log(lam)) == pytest.approx(logdet, rel=1e-12)
+
+    def test_eigen_keeps_diagonal_unrotated(self):
+        # eigh would sort these; the diagonal path keeps the order and Q = I
+        lam, q = SpdMatrix.from_matrix(np.diag([2.0, 0.5, 4.0])).eigen()
+        assert np.array_equal(lam, [2.0, 0.5, 4.0])
+        assert q is None
 
     def test_sample_covariance(self):
         a = np.array([[1.0, 0.6], [0.6, 2.0]])

@@ -266,6 +266,22 @@ class TestRunEnsemble:
         assert err.value.chains
         assert all(0 <= c < 600 for c in err.value.chains)
 
+    def test_divergence_reports_first_step(self):
+        # V(x) = -x^4 drives ULA from x0 = 3 to overflow within a few steps
+        runaway = make_custom(
+            lambda x: -np.sum(x**4, axis=-1), dim=1, grad=lambda x: -4.0 * x**3
+        )
+        cfg = LangevinConfig(step=0.5, horizon=5.0, method="ula", x0=np.array([3.0]))
+        noise = _chain_gaussians(cfg, runaway, 0, range(8))["noise"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                run_ensemble(cfg, runaway, n_chains=8, root_seed=0)
+            with pytest.raises(DivergenceError) as direct:
+                ula_run(runaway, cfg, noise)
+        assert err.value.step is not None
+        assert err.value.step == direct.value.step
+        assert f"step {direct.value.step}" in str(err.value)
+
     def test_meta_fields(self):
         target = standard_gaussian_target()
         cfg = SfsConfig(n_steps=8, beta=2.0, drift="gmm_exact")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal
 
 from sfsampler import (
     grad_potential,
@@ -14,6 +15,15 @@ from sfsampler import (
     target_to_dict,
 )
 from sfsampler.errors import ConfigError, GradientUnavailable
+
+
+def full_covariance_d5():
+    """Three 5-d components: random SPD, equicorrelated, and diagonal."""
+    b = np.random.default_rng(8).standard_normal((5, 5))
+    equi = 0.6 * (np.full((5, 5), 0.5) + 0.5 * np.eye(5))
+    covs = [b @ b.T / 5.0 + 0.3 * np.eye(5), equi, np.diag([0.3, 0.5, 0.7, 0.9, 1.1])]
+    means = np.array([[-4.0, 0, 0, 0, 0], [4.0, 2, 0, 0, 0], [0.0, -2, 4, 1, 0]])
+    return np.array([0.5, 0.3, 0.2]), means, covs
 
 
 def finite_difference_grad(potential, x, eps=1e-5):
@@ -55,6 +65,15 @@ class TestGaussianMixtureConstruction:
         xs = np.linspace(-20.0, 20.0, 200_001)[:, None]
         total = np.trapezoid(np.exp(t.mixture.log_density(xs)), xs[:, 0])
         assert total == pytest.approx(1.0, rel=1e-8)
+
+    def test_component_log_densities_match_scipy(self):
+        weights, means, covs = full_covariance_d5()
+        gmm = make_gaussian_mixture(weights, means, covs).mixture
+        assert gmm.rotations is not None
+        x = np.random.default_rng(3).standard_normal((200, 5)) * 3.0
+        got = gmm.component_log_densities(x)
+        for i, (m, c) in enumerate(zip(means, covs)):
+            assert np.max(np.abs(got[:, i] - multivariate_normal.logpdf(x, m, c))) < 1e-10
 
     def test_mixture_sampling_moments(self):
         t = make_gaussian_mixture([0.25, 0.75], [-1.0, 3.0], [0.5, 2.0])
@@ -122,6 +141,21 @@ class TestGradients:
         x = np.array([0.2, 0.7])
         fd = finite_difference_grad(t.potential, x)
         assert grad_potential(t, x) == pytest.approx(fd, abs=1e-6)
+
+    def test_full_covariance_gradient_matches_dense_solve(self):
+        weights, means, covs = full_covariance_d5()
+        t = make_gaussian_mixture(weights, means, covs)
+        x = np.random.default_rng(4).standard_normal((50, 5)) * 3.0
+        logp = np.stack(
+            [np.log(w) + multivariate_normal.logpdf(x, m, c)
+             for w, m, c in zip(weights, means, covs)],
+            axis=-1,
+        )
+        post = np.exp(logp - logp.max(axis=-1, keepdims=True))
+        post /= post.sum(axis=-1, keepdims=True)
+        expect = sum(post[:, i : i + 1] * np.linalg.solve(c, (x - m).T).T
+                     for i, (m, c) in enumerate(zip(means, covs)))
+        assert np.max(np.abs(grad_potential(t, x) - expect)) < 1e-10
 
     def test_gradient_unavailable(self):
         t = make_custom(lambda x: np.sum(np.abs(x), axis=-1), dim=2)
