@@ -10,7 +10,13 @@ from .drift import (
     make_drift,
     make_noise_pool,
 )
-from .errors import ConfigError, DivergenceError, GradientUnavailable, ZeroMassError
+from .errors import (
+    ConfigError,
+    DivergenceError,
+    GradientUnavailable,
+    NumericalError,
+    ZeroMassError,
+)
 from .metrics import (
     ConvergenceReport,
     ModeReport,

@@ -2,8 +2,8 @@
 
 Verbs: sample, convergence, compare, w2, drift-check. Configuration comes
 from a JSON file (--config) with command-line flags taking precedence.
-Exit codes: 0 ok, 2 config error, 3 numerical divergence, 4 convergence
-slope outside the acceptance band.
+Exit codes: 0 ok, 2 config error, 3 numerical failure (divergence or zero
+Monte Carlo weight mass), 4 convergence slope outside the acceptance band.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .drift import DRIFT_VARIANTS, make_drift, make_noise_pool
-from .errors import ConfigError, DivergenceError, ZeroMassError
+from .errors import ConfigError, DivergenceError, NumericalError
 from .metrics import (
     default_mode_radius,
     mode_weights,
@@ -82,6 +82,13 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+def _read_json(fh, what):
+    try:
+        return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def load_config(path=None, overrides=None) -> RunConfig:
     """Merge a JSON config file with command-line overrides and validate."""
     doc = {}
@@ -89,10 +96,7 @@ def load_config(path=None, overrides=None) -> RunConfig:
         if not os.path.exists(path):
             raise ConfigError(f"config file '{path}' does not exist")
         with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file '{path}' is not valid JSON: {exc}") from exc
+            doc = _read_json(fh, f"config file '{path}'")
         if not isinstance(doc, dict):
             raise ConfigError("config root must be a JSON object")
     known = {f.name for f in fields(RunConfig)} | {"target_file"}
@@ -106,7 +110,7 @@ def load_config(path=None, overrides=None) -> RunConfig:
         if not os.path.exists(target_file):
             raise ConfigError(f"target_file '{target_file}' does not exist")
         with open(target_file) as fh:
-            doc["target"] = json.load(fh)
+            doc["target"] = _read_json(fh, f"field 'target_file': '{target_file}'")
     for key, value in (overrides or {}).items():
         if value is not None:
             doc[key] = value
@@ -236,7 +240,8 @@ def cmd_convergence(cfg: RunConfig) -> int:
 
 
 def _compare_variants(cfg: RunConfig) -> list:
-    """Validated (label, config) per variant; labels name the output files, so must be unique."""
+    """Validated (label, config) per variant; labels name the output files, so must be
+    unique and must stay inside the output directory."""
     if cfg.variants:
         source, docs = "variants", cfg.variants
     elif cfg.betas:
@@ -253,7 +258,15 @@ def _compare_variants(cfg: RunConfig) -> list:
             raise ConfigError(f"field '{source}': unknown variant field(s) {unknown}")
         sub = RunConfig(**{**base, **{k: v for k, v in doc.items() if k != "label"}})
         _validate(sub)
-        variants.append((doc.get("label") or f"{sub.sampler}_beta{sub.beta:g}", sub))
+        label = doc.get("label")
+        if label is None:
+            label = f"{sub.sampler}_beta{sub.beta:g}"
+        if not isinstance(label, str) or not label or any(p in label for p in ("/", "\\", "..")):
+            raise ConfigError(
+                f"field '{source}': variant label {label!r} must be a nonempty file-name part "
+                "without '/', '\\' or '..'"
+            )
+        variants.append((label, sub))
     labels = [label for label, _ in variants]
     duplicates = sorted({label for label in labels if labels.count(label) > 1})
     if duplicates:
@@ -345,12 +358,14 @@ def cmd_w2(args) -> int:
 
 def cmd_drift_check(args) -> int:
     if args.input == "-":
-        doc = json.load(sys.stdin)
+        doc = _read_json(sys.stdin, "drift-check input on stdin")
     else:
         if not os.path.exists(args.input):
             raise ConfigError(f"input file '{args.input}' does not exist")
         with open(args.input) as fh:
-            doc = json.load(fh)
+            doc = _read_json(fh, f"drift-check input '{args.input}'")
+    if not isinstance(doc, dict):
+        raise ConfigError("drift-check input must be a JSON object")
     for key in ("target", "x", "t"):
         if key not in doc:
             raise ConfigError(f"drift-check input is missing '{key}'")
@@ -438,7 +453,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"ERROR[config] {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DivergenceError, ZeroMassError) as exc:
+    except NumericalError as exc:
         print(f"ERROR[divergence] {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
 

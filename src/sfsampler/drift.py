@@ -155,9 +155,13 @@ class SteinMcDrift:
         s = (1.0 - t) * beta
         y = x[..., None, :] + np.sqrt(s) * xi
         logg = self.target.log_g_beta(beta, y)
-        if not np.all(np.any(np.isfinite(logg), axis=-1)):
+        dead = ~np.any(np.isfinite(logg), axis=-1)
+        if np.any(dead):
+            chains = np.flatnonzero(dead).tolist()
             raise ZeroMassError(
-                f"all pool weights underflowed to zero mass at t={t}"
+                f"all pool weights underflowed to zero mass at t={t} in chains {chains}",
+                t=t,
+                chains=chains,
             )
         p = softmax(logg, axis=-1)
         if self.form == "grad":

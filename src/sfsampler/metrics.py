@@ -11,11 +11,11 @@ from scipy.linalg import eigh
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .drift import make_drift, make_noise_pool, stack_pools
+from .drift import make_drift
 from .errors import ConfigError
 from .numerics import SpdMatrix
-from .rng import RngStream, _as_generator, brownian_ladder_make, halve_increments
-from .samplers import SampleBatch, SfsConfig, sfs_run
+from .rng import _as_generator, brownian_ladder_make, halve_increments
+from .samplers import SampleBatch, SfsConfig, open_chains, sfs_run
 from .targets import TargetSpec
 
 W2_EXACT_MAX_N = 4096
@@ -235,20 +235,14 @@ def strong_error_curve(
         raise ConfigError("duplicate step sizes in h_list")
     if max(levels) > ref_level:
         raise ConfigError("every h must be at least as coarse as the reference step")
-    needs_pool = cfg.drift in ("stein_mc", "grad_mc")
 
     sq_sums = np.zeros(len(levels))
     for lo in range(0, n_chains, block_size):
-        ids = range(lo, min(lo + block_size, n_chains))
-        pools, ladders = [], []
-        for i in ids:
-            gen = RngStream(root_seed, i).generator()
-            if needs_pool:
-                pools.append(make_noise_pool(cfg.n_mc, target.dim, gen, cfg.antithetic))
-            ladders.append(brownian_ladder_make(target.dim, ref_level, gen).increments)
-        inc = np.stack(ladders)  # (B, 2**ref_level, d)
-        pool = stack_pools(pools) if needs_pool else None
-        drift_fn = make_drift(target, cfg.beta, cfg.drift, pool=pool, n_nodes=cfg.n_nodes)
+        streams = open_chains(cfg, target.dim, root_seed, range(lo, min(lo + block_size, n_chains)))
+        inc = np.stack(  # (B, 2**ref_level, d)
+            [brownian_ladder_make(target.dim, ref_level, gen).increments for gen in streams.gens]
+        )
+        drift_fn = make_drift(target, cfg.beta, cfg.drift, pool=streams.pool, n_nodes=cfg.n_nodes)
 
         ref = sfs_run(drift_fn, replace(cfg, n_steps=1 << ref_level, record_path=False), inc)
         agg = {ref_level: inc}

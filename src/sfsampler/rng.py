@@ -6,6 +6,11 @@ increments for coupled coarse/fine path simulation.
 
 Per-chain draw protocol (fixed so that coupled experiments stay reproducible):
 momentum init (if any), then the noise pool (if any), then Brownian increments.
+`samplers.open_chains` implements it for both the ensemble runner and the
+convergence curve. The ensemble runner keeps each chain's generator open and
+draws the increments in time chunks; consecutive draws from one generator
+equal one whole draw, so results do not depend on the chunk size, and a
+Brownian ladder drawn after the same pool is the same path.
 """
 
 from __future__ import annotations

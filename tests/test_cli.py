@@ -1,5 +1,6 @@
 """End-to-end tests of the sfs-bench command-line interface."""
 
+import io
 import json
 
 import numpy as np
@@ -55,6 +56,22 @@ class TestDriftCheck:
         path.write_text(json.dumps({"target": PM2_TARGET, "x": [0.0], "t": 1.0}))
         assert main(["drift-check", "--input", str(path)]) == 2
 
+    def test_malformed_json_file_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text('{"target": {')
+        assert main(["drift-check", "--input", str(path)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_non_object_input_is_config_error(self, tmp_path):
+        path = tmp_path / "in.json"
+        path.write_text("5")
+        assert main(["drift-check", "--input", str(path)]) == 2
+
+    def test_malformed_json_stdin_is_config_error(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"target": {'))
+        assert main(["drift-check"]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
 
 class TestConfigHandling:
     def test_unknown_field_rejected(self, tmp_path):
@@ -78,6 +95,14 @@ class TestConfigHandling:
 
     def test_nonexistent_config(self):
         assert main(["sample", "--config", "/nonexistent/cfg.json"]) == 2
+
+    def test_malformed_target_file_named(self, tmp_path, capsys):
+        target = tmp_path / "target.json"
+        target.write_text('{"kind": "gaussian_mixture", "weights": [')
+        cfg = write_config(tmp_path, target_file=str(target), h=0.125, out=str(tmp_path / "o"))
+        assert main(["sample", "--config", cfg]) == 2
+        assert "field 'target_file'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_h_rejected(self, tmp_path):
         cfg = write_config(tmp_path, target=PM2_TARGET, h=0.3)
@@ -143,6 +168,18 @@ class TestSample:
         density, edges = np.histogram(radii, bins=40, density=True)
         peak = 0.5 * (edges[np.argmax(density)] + edges[np.argmax(density) + 1])
         assert peak == pytest.approx(2.0, abs=0.3)
+
+
+    def test_zero_mass_exits_3_naming_chains(self, tmp_path, capsys):
+        # a component mean of 1e200 overflows every pool point's log-density to -inf
+        far = {"kind": "gaussian_mixture", "weights": [1.0], "means": [1e200], "covs": [1.0]}
+        cfg = write_config(tmp_path, target=far, drift="stein_mc", M=4, h=0.25, n_chains=3,
+                           out=str(tmp_path / "o"))
+        with np.errstate(over="ignore"):
+            assert main(["sample", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "3 chains lost all Monte Carlo weight mass, first at step 0" in err
+        assert "[0, 1, 2]" in err
 
 
 class TestConvergence:
@@ -296,6 +333,16 @@ class TestCompare:
         cfg = write_config(tmp_path, target=PM2_TARGET, h=0.0625, n_chains=8, out=str(out), **doc)
         assert main(["compare", "--config", cfg]) == 2
         assert f"field '{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label", ["", "..", "../x", "a/b", "a\\b"])
+    def test_unsafe_label_rejected_before_sampling(self, tmp_path, capsys, label):
+        out = tmp_path / "out"
+        variants = [{"label": label, "beta": 1.0}, {"label": "b", "beta": 2.0}]
+        cfg = write_config(tmp_path, target=PM2_TARGET, h=0.0625, n_chains=8, out=str(out),
+                           variants=variants)
+        assert main(["compare", "--config", cfg]) == 2
+        assert "field 'variants'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_single_variant_rejected(self, tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the integrators and the deterministic ensemble runner."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_lyapunov
@@ -13,19 +15,30 @@ from sfsampler import (
     make_custom,
     make_drift,
     make_gaussian_mixture,
+    make_two_mode_gmm,
     run_ensemble,
+    strong_error_curve,
     sfs_run,
     ula_run,
     uld_euler_run,
 )
-from sfsampler.errors import ConfigError, DivergenceError
-from sfsampler.samplers import _chain_gaussians
+from sfsampler import metrics, samplers
+from sfsampler.errors import ConfigError, DivergenceError, ZeroMassError
+from sfsampler.samplers import open_chains
 
 
 def standard_gaussian_target(d=1):
     if d == 1:
         return make_gaussian_mixture([1.0], [0.0], [1.0])
     return make_gaussian_mixture([1.0], [np.zeros(d)], [np.eye(d)])
+
+
+def chain_noise(cfg, target, root_seed, chain_ids):
+    """Each chain's whole Brownian path, drawn through the per-chain draw protocol."""
+    streams = open_chains(cfg, target.dim, root_seed, chain_ids)
+    noise = np.empty((len(streams.gens), cfg.n_steps, target.dim))
+    streams.fill(noise)
+    return noise
 
 
 def zero_grad_target(d=1):
@@ -77,6 +90,19 @@ class TestSfsRun:
         drift = make_drift(standard_gaussian_target(), 1.0, "gmm_exact")
         with pytest.raises(ConfigError):
             sfs_run(drift, SfsConfig(n_steps=8), np.zeros((4, 1)))
+        with pytest.raises(ConfigError):
+            sfs_run(drift, SfsConfig(n_steps=8), np.zeros((4, 1)), start=6)
+
+    def test_zero_mass_reports_step(self):
+        def drift(x, t):
+            if t >= 0.5:
+                raise ZeroMassError("no mass", t=t, chains=[1])
+            return np.zeros_like(x)
+
+        with pytest.raises(ZeroMassError) as err:
+            sfs_run(drift, SfsConfig(n_steps=8), np.zeros((3, 8, 1)))
+        assert (err.value.step, err.value.t, err.value.chains) == (4, 0.5, [1])
+        assert "step 4" in str(err.value)
 
     def test_divergence_reports_step_and_chains(self):
         def bad_drift(x, t):
@@ -227,7 +253,7 @@ class TestRunEnsemble:
         target = make_gaussian_mixture([0.75, 0.25], [-2.0, 2.0], [0.2, 0.8])
         cfg = SfsConfig(n_steps=32, beta=1.0, drift="gmm_exact")
         batch = run_ensemble(cfg, target, n_chains=1, root_seed=17)
-        noise = _chain_gaussians(cfg, target, 17, [0])["noise"]
+        noise = chain_noise(cfg, target, 17, [0])
         drift = make_drift(target, 1.0, "gmm_exact")
         direct = sfs_run(drift, cfg, noise)
         assert np.array_equal(batch.samples, direct)
@@ -272,7 +298,7 @@ class TestRunEnsemble:
             lambda x: -np.sum(x**4, axis=-1), dim=1, grad=lambda x: -4.0 * x**3
         )
         cfg = LangevinConfig(step=0.5, horizon=5.0, method="ula", x0=np.array([3.0]))
-        noise = _chain_gaussians(cfg, runaway, 0, range(8))["noise"]
+        noise = chain_noise(cfg, runaway, 0, range(8))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as err:
                 run_ensemble(cfg, runaway, n_chains=8, root_seed=0)
@@ -290,3 +316,111 @@ class TestRunEnsemble:
         assert batch.meta["n_chains"] == 4
         assert batch.meta["seed"] == 9
         assert batch.meta["wall_time_s"] > 0
+
+    def test_record_path_rejected(self):
+        cfg = SfsConfig(n_steps=4, record_path=True)
+        with pytest.raises(ConfigError, match="record_path"):
+            run_ensemble(cfg, standard_gaussian_target(), n_chains=2, root_seed=0)
+
+    def test_zero_mass_names_global_chain_ids(self):
+        # support x > -1: at t = 0 every chain sits at 0 and evaluates y = xi, so a
+        # chain loses all weight mass exactly when both its pool draws lie at or below -1
+        half_line = make_custom(lambda x: np.where(x[..., 0] > -1.0, 0.0, np.inf), dim=1)
+        cfg = SfsConfig(n_steps=4, drift="stein_mc", n_mc=2)
+        n = 600
+        xi = open_chains(cfg, 1, 5, range(n)).pool.xi[..., 0]
+        dead = np.flatnonzero(np.all(xi <= -1.0, axis=-1)).tolist()
+        assert any(c < 512 for c in dead) and any(c >= 512 for c in dead)
+        with pytest.raises(ZeroMassError) as err:
+            run_ensemble(cfg, half_line, n_chains=n, root_seed=5)
+        assert (err.value.step, err.value.t) == (0, 0.0)
+        assert err.value.chains == dead
+
+
+def chunk_steps(monkeypatch, n_chains, dim, steps):
+    """Make run_ensemble draw and integrate `steps`-step chunks."""
+    monkeypatch.setattr(samplers, "NOISE_CHUNK_BYTES", n_chains * dim * 8 * steps)
+
+
+def record_increments(monkeypatch, module, name):
+    """Copies of the increments each call of module.name receives (the buffer is reused)."""
+    seen, original = [], getattr(module, name)
+
+    def recording(*args, **kwargs):
+        seen.append(np.array(args[2]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return seen
+
+
+class TestChunkedIncrements:
+    CASES = {
+        "gmm_exact": (SfsConfig(n_steps=20, beta=1.5, drift="gmm_exact"), "sfs_run"),
+        "grad_mc": (SfsConfig(n_steps=20, beta=2.0, drift="grad_mc", n_mc=6), "sfs_run"),
+        "uld_momentum": (
+            LangevinConfig(step=0.1, horizon=2.0, method="uld", draw_momentum=True),
+            "uld_euler_run",
+        ),
+        "baoab_momentum": (
+            LangevinConfig(step=0.1, horizon=2.0, method="baoab", draw_momentum=True),
+            "baoab_run",
+        ),
+    }
+
+    @pytest.mark.parametrize("steps", [1, 7])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_chunk_length_never_changes_samples(self, monkeypatch, case, steps):
+        cfg, integrator = self.CASES[case]
+        target = make_two_mode_gmm(3, separation=4.0, variance=0.5)
+        whole = run_ensemble(cfg, target, n_chains=5, root_seed=12).samples
+        chunk_steps(monkeypatch, 5, target.dim, steps)
+        seen = record_increments(monkeypatch, samplers, integrator)
+        chunked = run_ensemble(cfg, target, n_chains=5, root_seed=12).samples
+        assert [c.shape[1] for c in seen] == [min(steps, 20 - s) for s in range(0, 20, steps)]
+        assert np.array_equal(chunked, whole)
+
+    def test_divergence_past_a_chunk_boundary_reports_the_global_step(self, monkeypatch):
+        runaway = make_custom(
+            lambda x: -np.sum(x**4, axis=-1), dim=1, grad=lambda x: -4.0 * x**3
+        )
+        cfg = LangevinConfig(step=0.5, horizon=5.0, method="ula", x0=np.array([3.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as whole:
+                run_ensemble(cfg, runaway, n_chains=8, root_seed=0)
+            chunk_steps(monkeypatch, 8, 1, 2)
+            with pytest.raises(DivergenceError) as chunked:
+                run_ensemble(cfg, runaway, n_chains=8, root_seed=0)
+        assert whole.value.step >= 2
+        assert (chunked.value.step, chunked.value.t) == (whole.value.step, whole.value.t)
+        assert chunked.value.chains == whole.value.chains
+
+    def test_noise_memory_is_one_chunk(self):
+        # the whole path of 64 chains, 1000 steps, d = 100 would take 51 MB
+        d = 100
+        target = make_gaussian_mixture(
+            [1.0], [np.linspace(-2.0, 2.0, d)], [np.geomspace(0.25, 4.0, d)]
+        )
+        cfg = SfsConfig(n_steps=1000, drift="gmm_exact")
+        tracemalloc.start()
+        try:
+            run_ensemble(cfg, target, n_chains=64, root_seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
+
+    def test_sample_and_convergence_reference_share_one_path(self, monkeypatch):
+        # run_ensemble at h = 2^-5 in 3-step chunks, and the 2^-5 reference of the
+        # convergence curve, each drawn after the same per-chain pool
+        target = make_two_mode_gmm(2, separation=3.0, variance=0.5)
+        level, n = 5, 3
+        cfg = SfsConfig(n_steps=2**level, drift="stein_mc", n_mc=8)
+        chunk_steps(monkeypatch, n, target.dim, 3)
+        streamed = record_increments(monkeypatch, samplers, "sfs_run")
+        run_ensemble(cfg, target, n_chains=n, root_seed=21)
+        reference = record_increments(monkeypatch, metrics, "sfs_run")
+        strong_error_curve(target, cfg, [2.0**-2, 2.0**-3, 2.0**-4], level, n, 21)
+        assert len(streamed) == 11
+        assert reference[0].shape == (n, 2**level, target.dim)
+        assert np.array_equal(np.concatenate(streamed, axis=1), reference[0])
