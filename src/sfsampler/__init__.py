@@ -45,6 +45,7 @@ from .targets import (
     GaussianMixture,
     TargetSpec,
     grad_potential,
+    log_g_and_grad,
     log_g_beta,
     make_builtin,
     make_custom,

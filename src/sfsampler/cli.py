@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .drift import DRIFT_VARIANTS, make_drift, make_noise_pool
-from .errors import ConfigError, DivergenceError, NumericalError
+from .errors import ConfigError, DivergenceError, NumericalError, ZeroMassError
 from .metrics import (
     default_mode_radius,
     mode_weights,
@@ -286,15 +286,17 @@ def cmd_compare(cfg: RunConfig) -> int:
         scfg = _sampler_config(sub, target)
         try:
             batch = run_ensemble(scfg, target, sub.n_chains, sub.seed, threads=sub.threads)
-        except DivergenceError as exc:
-            failures.append((label, str(exc)))
+        except NumericalError as exc:
+            failures.append((label, exc))
             continue
         labels.append(label)
         batches.append(batch)
         write_samples_csv(batch.samples, os.path.join(cfg.out, f"samples_{label}.csv"))
     if failures:
-        detail = "; ".join(f"{lab}: {msg}" for lab, msg in failures)
-        raise DivergenceError(f"variants diverged ({detail})")
+        detail = "; ".join(f"{lab}: {exc}" for lab, exc in failures)
+        kinds = {type(exc) for _, exc in failures}
+        kind = kinds.pop() if len(kinds) == 1 else NumericalError
+        raise kind(f"{len(failures)} of {len(variants)} variants failed ({detail})")
 
     mode_rows, mode_table = [], {}
     if target.mixture is not None:
@@ -431,6 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NUMERICAL_TAGS = {DivergenceError: "divergence", ZeroMassError: "zero-mass"}
+
 _CONFIG_COMMANDS = {"sample": cmd_sample, "convergence": cmd_convergence, "compare": cmd_compare}
 
 
@@ -454,7 +458,7 @@ def main(argv=None) -> int:
         print(f"ERROR[config] {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:
-        print(f"ERROR[divergence] {exc}", file=sys.stderr)
+        print(f"ERROR[{_NUMERICAL_TAGS.get(type(exc), 'numerical')}] {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
 
 

@@ -68,6 +68,11 @@ def stack_pools(pools) -> NoisePool:
     return NoisePool(xi=xi, antithetic=all(p.antithetic for p in pools))
 
 
+def _weighted_sum(p, v):
+    """sum_j p_j v_j over the pool axis: (..., M) weights and (..., M, d) vectors -> (..., d)."""
+    return (p[..., None, :] @ v)[..., 0, :]
+
+
 class GmmExactDrift:
     """Closed-form drift for Gaussian-mixture targets.
 
@@ -132,7 +137,8 @@ class SteinMcDrift:
 
     form="stein" uses the gradient-free identity (weighted mean of the pool
     vectors); form="grad" uses the analytic gradient of the density ratio,
-    available when the target supplies grad V.
+    available when the target supplies grad V, with the weights and the gradient
+    from one `log_g_and_grad` evaluation per step.
     """
 
     def __init__(self, target: TargetSpec, beta, pool: NoisePool, form="stein"):
@@ -154,7 +160,10 @@ class SteinMcDrift:
         xi = self.pool.xi
         s = (1.0 - t) * beta
         y = x[..., None, :] + np.sqrt(s) * xi
-        logg = self.target.log_g_beta(beta, y)
+        if self.form == "grad":
+            logg, glog = self.target.log_g_and_grad(beta, y)
+        else:
+            logg = self.target.log_g_beta(beta, y)
         dead = ~np.any(np.isfinite(logg), axis=-1)
         if np.any(dead):
             chains = np.flatnonzero(dead).tolist()
@@ -165,14 +174,13 @@ class SteinMcDrift:
             )
         p = softmax(logg, axis=-1)
         if self.form == "grad":
-            glog = -self.target.grad_potential(y) + y / beta
-            return beta * np.sum(p[..., None] * glog, axis=-2)
+            return beta * _weighted_sum(p, glog)
         if self.pool.antithetic:
             # sum negation pairs first so a uniform-weight mean is exactly zero
             paired = p[..., 0::2, None] * xi[..., 0::2, :] + p[..., 1::2, None] * xi[..., 1::2, :]
             num = np.sum(paired, axis=-2)
         else:
-            num = np.sum(p[..., None] * xi, axis=-2)
+            num = _weighted_sum(p, xi)
         return np.sqrt(beta / (1.0 - t)) * num
 
 
@@ -201,7 +209,7 @@ class QuadratureDrift:
         y = x[..., None, :] + np.sqrt(s) * self.nodes
         logits = self.log_wts + self.target.log_g_beta(beta, y)
         p = softmax(logits, axis=-1)
-        return np.sqrt(beta / (1.0 - t)) * np.sum(p[..., None] * self.nodes, axis=-2)
+        return np.sqrt(beta / (1.0 - t)) * _weighted_sum(p, self.nodes)
 
 
 def make_drift(target: TargetSpec, beta, variant, pool=None, n_nodes=64):

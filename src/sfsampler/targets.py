@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, GradientUnavailable
-from .numerics import SpdMatrix, log_sum_exp, softmax
+from .numerics import SpdMatrix, log_sum_exp
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -66,7 +66,8 @@ class GaussianMixture:
             rotated_means = np.stack([m @ q for m, q in zip(self.means, rot)])
         sd = np.sqrt(lam)
         for name, value in (("eigvals", lam), ("rotations", rot), ("rotated_means", rotated_means),
-                            ("_inv_sd", 1.0 / sd), ("_logdets", 2.0 * np.sum(np.log(sd), axis=-1))):
+                            ("_inv_sd", 1.0 / sd),
+                            ("_log_norms", self.dim * _LOG_2PI + 2.0 * np.sum(np.log(sd), axis=-1))):
             object.__setattr__(self, name, value)
 
     @property
@@ -80,45 +81,65 @@ class GaussianMixture:
     def max_std(self) -> float:
         return float(np.sqrt(max(np.max(c.diagonal_part) for c in self.covs)))
 
-    def _whitened(self, xf, i):
-        """diag(lambda_i)^(-1/2) Q_i^T (x - alpha_i): component i becomes N(0, I)."""
-        if self.rotations is None:
-            return (xf - self.means[i]) * self._inv_sd[i]
-        return ((xf - self.means[i]) @ self.rotations[i]) * self._inv_sd[i]
+    def _log_components(self, xf, precision=None):
+        """(kappa, n) log N(x; alpha_i, Sigma_i) for flat points xf (n, d).
 
-    def _precision_times(self, xf, i):
-        """Sigma_i^{-1} (x - alpha_i)."""
-        w = self._whitened(xf, i) * self._inv_sd[i]
-        return w if self.rotations is None else w @ self.rotations[i].T
+        Each component is whitened once, z = diag(lambda_i)^(-1/2) Q_i^T (x - alpha_i);
+        if a list `precision` is given, Sigma_i^{-1} (x - alpha_i) = Q_i diag(lambda_i)^(-1/2) z
+        is appended to it for every component, built from the same z.
+        """
+        out = np.empty((self.n_components, xf.shape[0]))
+        for i in range(self.n_components):
+            z = xf - self.means[i]
+            if self.rotations is not None:
+                z = z @ self.rotations[i]
+            z *= self._inv_sd[i]
+            out[i] = np.einsum("nd,nd->n", z, z)
+            if precision is not None:
+                z *= self._inv_sd[i]
+                precision.append(z if self.rotations is None else z @ self.rotations[i].T)
+        out += self._log_norms[:, None]
+        out *= -0.5
+        return out
 
     def component_log_densities(self, x):
         """log N(x; alpha_i, Sigma_i) for each component; x shape (..., d) -> (..., kappa)."""
         x = np.asarray(x, dtype=float)
-        lead = x.shape[:-1]
-        xf = x.reshape(-1, self.dim)
-        out = np.empty((xf.shape[0], self.n_components))
-        for i in range(self.n_components):
-            z = self._whitened(xf, i)
-            out[:, i] = -0.5 * (self.dim * _LOG_2PI + self._logdets[i] + np.sum(z * z, axis=-1))
-        return out.reshape(lead + (self.n_components,))
+        comp = self._log_components(x.reshape(-1, self.dim))
+        return comp.T.reshape(x.shape[:-1] + (self.n_components,))
 
     def log_density(self, x):
-        comp = self.component_log_densities(x) + np.log(self.weights)
-        return log_sum_exp(comp, axis=-1)
+        x = np.asarray(x, dtype=float)
+        comp = self._log_components(x.reshape(-1, self.dim))
+        comp += np.log(self.weights)[:, None]
+        return log_sum_exp(comp, axis=0).reshape(x.shape[:-1])
 
     def potential(self, x):
         return -self.log_density(x)
 
-    def grad_potential(self, x):
-        """grad V = sum_i p_i(x) Sigma_i^{-1} (x - alpha_i) with posterior weights p_i."""
+    def log_density_and_grad(self, x):
+        """log p(x) and grad V(x) = -grad log p(x), from one whitening per component.
+
+        grad V = sum_i p_i(x) Sigma_i^{-1} (x - alpha_i) with posterior weights p_i: each
+        component's precision product is scaled in place and summed into the first.
+        """
         x = np.asarray(x, dtype=float)
         lead = x.shape[:-1]
-        xf = x.reshape(-1, self.dim)
-        p = softmax(self.component_log_densities(xf) + np.log(self.weights), axis=-1)
-        g = np.zeros_like(xf)
-        for i in range(self.n_components):
-            g += p[:, i : i + 1] * self._precision_times(xf, i)
-        return g.reshape(lead + (self.dim,))
+        precision = []
+        comp = self._log_components(x.reshape(-1, self.dim), precision)
+        comp += np.log(self.weights)[:, None]
+        logp = log_sum_exp(comp, axis=0)
+        comp -= logp
+        np.exp(comp, out=comp)  # posterior weights p_i(x)
+        g = precision[0]
+        g *= comp[0][:, None]
+        for i in range(1, self.n_components):
+            precision[i] *= comp[i][:, None]
+            g += precision[i]
+        return logp.reshape(lead), g.reshape(lead + (self.dim,))
+
+    def grad_potential(self, x):
+        return self.log_density_and_grad(x)[1]
 
     def sample(self, n, gen):
         """n i.i.d. draws from the mixture."""
@@ -155,8 +176,21 @@ class TargetSpec:
     def log_g_beta(self, beta, x):
         return log_g_beta(self, beta, x)
 
+    def log_g_and_grad(self, beta, x):
+        return log_g_and_grad(self, beta, x)
+
     def grad_potential(self, x):
         return grad_potential(self, x)
+
+
+def _sq_norm(x):
+    """||x||^2 over the last axis."""
+    return np.einsum("...d,...d->...", x, x)
+
+
+def _floored(target: TargetSpec, base):
+    """log((1 - rho) exp(base) + rho): the rho floor applied to a log density ratio."""
+    return np.logaddexp(np.log1p(-target.rho) + base, np.log(target.rho))
 
 
 def log_g_beta(target: TargetSpec, beta, x):
@@ -167,11 +201,36 @@ def log_g_beta(target: TargetSpec, beta, x):
     """
     beta = _check_beta(beta)
     x = np.asarray(x, dtype=float)
-    v = target.potential(x)
-    base = -v + np.sum(x * x, axis=-1) / (2.0 * beta)
+    base = -target.potential(x) + _sq_norm(x) / (2.0 * beta)
+    return base if target.rho == 0.0 else _floored(target, base)
+
+
+def log_g_and_grad(target: TargetSpec, beta, x):
+    """(log g_beta(x), grad_x log g_beta(x)) from one evaluation of the target.
+
+    Mixtures get log density and grad V from one whitening per component; other
+    targets compose the potential with the analytic gradient, and a target without
+    one raises GradientUnavailable. Under the rho floor the gradient is
+    sigma * grad(-V + ||x||^2 / (2 beta)) with sigma = (1 - rho) g / g_rho, which is
+    0 (not NaN) where g underflows.
+    """
+    beta = _check_beta(beta)
+    x = np.asarray(x, dtype=float)
+    if target.mixture is not None:
+        neg_v, grad_v = target.mixture.log_density_and_grad(x)
+    else:
+        grad_v = grad_potential(target, x)
+        neg_v = -target.potential(x)
+    base = neg_v + _sq_norm(x) / (2.0 * beta)
+    grad = x / beta
+    grad -= grad_v
     if target.rho == 0.0:
-        return base
-    return np.logaddexp(np.log1p(-target.rho) + base, np.log(target.rho))
+        return base, grad
+    logg = _floored(target, base)
+    sigma = np.exp(np.log1p(-target.rho) + base - logg)
+    grad *= sigma[..., None]
+    grad[sigma == 0.0] = 0.0
+    return logg, grad
 
 
 def grad_potential(target: TargetSpec, x):
@@ -252,11 +311,11 @@ def _make_ring(r0=2.0, sigma=0.2):
     inv = 1.0 / (sigma * sigma)
 
     def potential(x):
-        r = np.sqrt(np.sum(x * x, axis=-1))
+        r = np.sqrt(_sq_norm(x))
         return 0.5 * inv * (r - r0) ** 2
 
     def grad(x):
-        r = np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
+        r = np.sqrt(_sq_norm(x))[..., None]
         safe_r = np.where(r > 0, r, 1.0)
         return np.where(r > 0, inv * (r - r0) * x / safe_r, 0.0)
 

@@ -178,6 +178,7 @@ class TestSample:
         with np.errstate(over="ignore"):
             assert main(["sample", "--config", cfg]) == 3
         err = capsys.readouterr().err
+        assert err.startswith("ERROR[zero-mass]")
         assert "3 chains lost all Monte Carlo weight mass, first at step 0" in err
         assert "[0, 1, 2]" in err
 
@@ -302,6 +303,25 @@ class TestCompare:
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["variants"]) == {"sfs_beta1", "sfs_beta2"}
         assert "sfs_beta1|sfs_beta2" in summary["w2"]
+
+    def test_every_failing_variant_reported(self, tmp_path, capsys):
+        # stein_mc loses all weight mass and gmm_exact diverges: both run, both are named
+        far = {"kind": "gaussian_mixture", "weights": [1.0], "means": [1e200], "covs": [1.0]}
+        cfg = write_config(
+            tmp_path,
+            target=far,
+            variants=[{"label": "a", "drift": "stein_mc"}, {"label": "b", "drift": "gmm_exact"}],
+            M=4,
+            h=0.25,
+            n_chains=3,
+            out=str(tmp_path / "o"),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["compare", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "2 of 2 variants failed" in err
+        assert "a: 3 chains lost all Monte Carlo weight mass" in err
+        assert "b: 3 chains diverged" in err
 
     def test_identical_variants_zero_w2(self, tmp_path):
         out = tmp_path / "out"

@@ -220,6 +220,39 @@ class TestSteinMcDrift:
         assert a == pytest.approx(exact, abs=0.1)
         assert b == pytest.approx(exact, abs=0.1)
 
+    def test_grad_form_matches_separate_evaluations(self):
+        # one log_g_and_grad pass gives the drift of separate log_g_beta and grad V calls
+        from sfsampler import log_g_beta
+
+        target = make_two_mode_gmm(10, separation=6.0, variance=0.25)
+        beta, tt = 5.0, 0.3
+        pools = [make_noise_pool(200, 10, RngStream(8, i)) for i in range(16)]
+        pool = NoisePool(xi=np.stack([p.xi for p in pools]))
+        x = np.random.default_rng(2).standard_normal((16, 10)) * 3.0
+        got = SteinMcDrift(target, beta, pool, form="grad")(x, tt)
+        y = x[:, None, :] + np.sqrt((1.0 - tt) * beta) * pool.xi
+        logg = log_g_beta(target, beta, y)
+        p = np.exp(logg - logg.max(axis=-1, keepdims=True))
+        p /= p.sum(axis=-1, keepdims=True)
+        expect = beta * np.sum(p[..., None] * (-target.grad_potential(y) + y / beta), axis=-2)
+        assert np.max(np.abs(got - expect)) < 1e-10
+
+    def test_grad_form_under_rho_floor_matches_quadrature(self):
+        # the floor has zero gradient: grad log g_rho is grad log g scaled by (1-rho) g / g_rho
+        target = make_gaussian_mixture([0.5, 0.5], [-3.0, 3.0], [0.5, 0.5], rho=0.2)
+        x, tt, beta = np.array([0.5]), 0.6, 1.0
+        pool = make_noise_pool(200_000, 1, RngStream(3, 0), antithetic=True)
+        est = SteinMcDrift(target, beta, pool, form="grad")(x, tt)
+        exact = QuadratureDrift(target, beta)(x, tt)
+        # delta-method standard error of the self-normalised estimate
+        y = x + np.sqrt((1.0 - tt) * beta) * pool.xi
+        logg, grad = target.log_g_and_grad(beta, y)
+        p = np.exp(logg - logg.max())
+        p /= p.sum()
+        se = np.sqrt(np.sum(p**2 * (beta * grad[:, 0] - est[0]) ** 2))
+        assert se < 0.02
+        assert abs(est[0] - exact[0]) < 5.0 * se
+
     def test_zero_mass_error(self):
         # a hard-support potential far from the evaluation point zeroes every weight
         from sfsampler import make_custom

@@ -6,6 +6,7 @@ from scipy.stats import multivariate_normal
 
 from sfsampler import (
     grad_potential,
+    log_g_and_grad,
     log_g_beta,
     make_builtin,
     make_custom,
@@ -203,6 +204,65 @@ class TestLogGBeta:
     def test_invalid_rho(self):
         with pytest.raises(ConfigError):
             make_builtin("ring", rho=1.0)
+
+
+def d5_full_mixture():
+    """The 5-d three-component correlated mixture of the mixture_d5_full benchmark."""
+    def equicorrelated(r, scale):
+        return scale * (np.full((5, 5), r) + (1.0 - r) * np.eye(5))
+
+    covs = [equicorrelated(0.5, 0.6), equicorrelated(-0.2, 0.4),
+            np.diag([0.3, 0.5, 0.7, 0.9, 1.1]) + 0.2]
+    means = np.array([[-4.0, 0, 0, 0, 0], [4.0, 2, 0, 0, 0], [0.0, -2, 4, 1, 0]])
+    return [0.5, 0.3, 0.2], means, covs
+
+
+PROTOCOL_TARGETS = {
+    "two_mode_gmm": lambda rho: make_two_mode_gmm(3, separation=2.0, variance=0.5, rho=rho),
+    "mixture_d5_full": lambda rho: make_gaussian_mixture(*d5_full_mixture(), rho=rho),
+    "ring": lambda rho: make_builtin("ring", r0=2.0, sigma=0.5, rho=rho),
+    "funnel": lambda rho: make_builtin("funnel", rho=rho),
+    "example64": lambda rho: make_builtin("example64", rho=rho),
+    "bayes_ridge": lambda rho: make_builtin("bayes_ridge", y=[0.5, -1.0, 2.0], rho=rho),
+}
+
+
+class TestLogGAndGrad:
+    BETA = 1.5
+
+    @staticmethod
+    def points(target, n=6):
+        return np.random.default_rng(12).standard_normal((n, target.dim)) * 1.5
+
+    @pytest.mark.parametrize("rho", [0.0, 0.1])
+    @pytest.mark.parametrize("name", sorted(PROTOCOL_TARGETS))
+    def test_value_matches_log_g_beta(self, name, rho):
+        t = PROTOCOL_TARGETS[name](rho)
+        x = self.points(t)
+        value, _ = log_g_and_grad(t, self.BETA, x)
+        assert np.max(np.abs(value - log_g_beta(t, self.BETA, x))) < 1e-12
+
+    @pytest.mark.parametrize("rho", [0.0, 0.1])
+    @pytest.mark.parametrize("name", sorted(PROTOCOL_TARGETS))
+    def test_gradient_matches_finite_differences(self, name, rho):
+        t = PROTOCOL_TARGETS[name](rho)
+        for x in self.points(t):
+            _, grad = t.log_g_and_grad(self.BETA, x)
+            fd = finite_difference_grad(lambda y: log_g_beta(t, self.BETA, y), x)
+            assert grad == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+    def test_floor_gradient_zero_where_density_underflows(self):
+        # a mean of 1e200 overflows the component log-density to -inf: sigma is 0, not NaN
+        t = make_gaussian_mixture([1.0], [1e200], [1.0], rho=0.2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, grad = log_g_and_grad(t, 1.0, np.array([[0.5], [-1.0]]))
+        assert value == pytest.approx(np.full(2, np.log(0.2)))
+        assert np.array_equal(grad, np.zeros((2, 1)))
+
+    def test_gradient_unavailable(self):
+        t = make_custom(lambda x: np.sum(np.abs(x), axis=-1), dim=2)
+        with pytest.raises(GradientUnavailable):
+            log_g_and_grad(t, 1.0, np.zeros(2))
 
 
 class TestSerialization:
