@@ -129,13 +129,21 @@ def _check_int(name, value, low=None, high=None) -> int:
     return value
 
 
+def _is_number(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float))
+
+
+def _check_number(name, value) -> float:
+    if not _is_number(value):
+        raise ConfigError(f"field '{name}': expected a number, got {value!r}")
+    return float(value)
+
+
 def _validate(cfg: RunConfig):
     for name, (low, high) in INT_FIELDS.items():
         _check_int(name, getattr(cfg, name), low, high)
     for name in REAL_FIELDS:
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"field '{name}': expected a number, got {value!r}")
+        _check_number(name, getattr(cfg, name))
     if cfg.sampler not in ("sfs", "ula", "uld", "baoab"):
         raise ConfigError(f"field 'sampler': unknown sampler '{cfg.sampler}'")
     if cfg.drift not in ("auto",) + DRIFT_VARIANTS:
@@ -144,8 +152,12 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"field 'beta': must be positive, got {cfg.beta}")
     if not (0 < cfg.h <= 1):
         raise ConfigError(f"field 'h': must be in (0, 1], got {cfg.h}")
-    if len(cfg.band) != 2 or not cfg.band[0] < cfg.band[1]:
-        raise ConfigError(f"field 'band': expected [low, high], got {cfg.band}")
+    steps, band = cfg.h_list, cfg.band
+    if not (isinstance(steps, list) and all(_is_number(h) and 0 < h <= 1 for h in steps)):
+        raise ConfigError(f"field 'h_list': expected a list of steps in (0, 1], got {steps!r}")
+    if not (isinstance(band, list) and len(band) == 2 and all(map(_is_number, band))
+            and band[0] < band[1]):
+        raise ConfigError(f"field 'band': expected numbers [low, high], low < high, got {band!r}")
 
 
 def _build_target(cfg: RunConfig) -> TargetSpec:
@@ -206,8 +218,6 @@ def cmd_sample(cfg: RunConfig) -> int:
 
 def cmd_convergence(cfg: RunConfig) -> int:
     target = _build_target(cfg)
-    if not cfg.h_list:
-        raise ConfigError("field 'h_list': convergence needs a list of dyadic steps")
     scfg = SfsConfig(
         n_steps=1,  # replaced per level by the curve runner
         beta=cfg.beta,
@@ -372,7 +382,13 @@ def cmd_drift_check(args) -> int:
         if key not in doc:
             raise ConfigError(f"drift-check input is missing '{key}'")
     target = target_from_dict(doc["target"])
-    beta = float(doc.get("beta", 1.0))
+    beta = _check_number("beta", doc.get("beta", 1.0))
+    t = _check_number("t", doc["t"])
+    if not (0.0 <= t < 1.0):
+        raise ConfigError(f"field 't': must be in [0, 1), got {t}")
+    x = np.array(doc["x"], dtype=object)  # ragged lists give lists as elements
+    if x.ndim < 1 or x.shape[-1] != target.dim or not all(map(_is_number, x.flat)):
+        raise ConfigError(f"field 'x': expected points of dimension {target.dim}, got {doc['x']!r}")
     variant = doc.get("variant", "auto")
     if variant == "auto":
         variant = "gmm_exact" if target.mixture is not None else "stein_mc"
@@ -380,15 +396,11 @@ def cmd_drift_check(args) -> int:
     if variant in ("stein_mc", "grad_mc"):
         seed = _check_int("seed", doc.get("seed", 42), *INT_FIELDS["seed"])
         gen = RngStream(seed, 0).generator()
-        pool = make_noise_pool(int(doc.get("M", 200)), target.dim, gen,
-                               antithetic=bool(doc.get("antithetic", False)))
-    drift_fn = make_drift(target, beta, variant, pool=pool,
-                          n_nodes=int(doc.get("n_nodes", 64)))
-    x = np.asarray(doc["x"], dtype=float)
-    t = float(doc["t"])
-    if not (0.0 <= t < 1.0):
-        raise ConfigError(f"t must be in [0, 1), got {t}")
-    value = drift_fn(x, t)
+        n_mc = _check_int("M", doc.get("M", 200), *INT_FIELDS["M"])
+        pool = make_noise_pool(n_mc, target.dim, gen, antithetic=bool(doc.get("antithetic", False)))
+    n_nodes = _check_int("n_nodes", doc.get("n_nodes", 64))
+    drift_fn = make_drift(target, beta, variant, pool=pool, n_nodes=n_nodes)
+    value = drift_fn(x.astype(float), t)
     print(json.dumps({"drift": np.asarray(value).tolist(), "variant": variant}))
     return EXIT_OK
 

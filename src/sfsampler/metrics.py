@@ -14,8 +14,10 @@ from scipy.spatial.distance import cdist
 from .drift import make_drift
 from .errors import ConfigError
 from .numerics import SpdMatrix
-from .rng import _as_generator, brownian_ladder_make, halve_increments
-from .samplers import SampleBatch, SfsConfig, open_chains, sfs_run
+from .rng import MAX_LADDER_LEVEL, _as_generator, halve_increments
+# unused here since the curve streams its paths, but perfbench/tracing.py patches it
+from .rng import brownian_ladder_make  # noqa: F401
+from .samplers import ENSEMBLE_BLOCK, SampleBatch, SfsConfig, increment_chunks, open_chains, sfs_run
 from .targets import TargetSpec
 
 W2_EXACT_MAX_N = 4096
@@ -221,38 +223,44 @@ def _dyadic_level(h) -> int:
 
 
 def strong_error_curve(
-    target: TargetSpec, cfg: SfsConfig, h_list, ref_level, n_chains, root_seed,
-    block_size=512,
+    target: TargetSpec, cfg: SfsConfig, h_list, ref_level, n_chains, root_seed
 ) -> ConvergenceReport:
     """Pathwise RMSE of coarse runs against a coupled 2**-ref_level reference.
 
-    Every chain draws one Brownian ladder at the fine level; coarse runs use
-    pairwise-aggregated increments of the same ladder, and Monte Carlo drifts
-    reuse the same per-chain pool at every step size.
+    Chain i's reference path is the one `run_ensemble` draws at step 2**-ref_level;
+    coarse runs use pairwise-aggregated increments of it, and Monte Carlo drifts reuse
+    the chain's pool at every step size. Each block streams its path in time chunks
+    of whole coarsest steps, advancing the reference and every coarse run together.
     """
+    if n_chains < 1:
+        raise ConfigError(f"n_chains must be >= 1, got {n_chains}")
+    if not (0 <= ref_level <= MAX_LADDER_LEVEL):
+        raise ConfigError(f"ref_level must be in [0, {MAX_LADDER_LEVEL}], got {ref_level}")
     levels = [_dyadic_level(h) for h in h_list]
-    if sorted(set(levels)) != sorted(levels):
-        raise ConfigError("duplicate step sizes in h_list")
+    if not levels or len(set(levels)) != len(levels):
+        raise ConfigError(f"h_list must hold distinct step sizes, got {list(h_list)}")
     if max(levels) > ref_level:
         raise ConfigError("every h must be at least as coarse as the reference step")
 
+    coarsest = min(levels)
+    align = 1 << (ref_level - coarsest)  # fine steps per coarsest step
+    ref_cfg = replace(cfg, n_steps=1 << ref_level)
     sq_sums = np.zeros(len(levels))
-    for lo in range(0, n_chains, block_size):
-        streams = open_chains(cfg, target.dim, root_seed, range(lo, min(lo + block_size, n_chains)))
-        inc = np.stack(  # (B, 2**ref_level, d)
-            [brownian_ladder_make(target.dim, ref_level, gen).increments for gen in streams.gens]
-        )
-        drift_fn = make_drift(target, cfg.beta, cfg.drift, pool=streams.pool, n_nodes=cfg.n_nodes)
-
-        ref = sfs_run(drift_fn, replace(cfg, n_steps=1 << ref_level, record_path=False), inc)
-        agg = {ref_level: inc}
-        for level in range(ref_level - 1, min(levels) - 1, -1):
-            agg[level] = halve_increments(agg[level + 1])
+    for lo in range(0, n_chains, ENSEMBLE_BLOCK):
+        ids = range(lo, min(lo + ENSEMBLE_BLOCK, n_chains))
+        streams = open_chains(ref_cfg, target.dim, root_seed, ids)
+        drift_fn = make_drift(target, cfg.beta, cfg.drift, pool=streams.pool)
+        out = dict.fromkeys([ref_level, *levels])  # each run's state after the chunks so far
+        for start, inc in increment_chunks(streams, ref_cfg.n_steps, target.dim, align):
+            for level in range(ref_level, coarsest - 1, -1):
+                if level < ref_level:
+                    inc = halve_increments(inc)
+                if level in out:
+                    level_cfg = replace(cfg, n_steps=1 << level)
+                    first = start >> (ref_level - level)  # the chunk's first step at this level
+                    out[level] = sfs_run(drift_fn, level_cfg, inc, first, out[level])
         for j, level in enumerate(levels):
-            out = sfs_run(
-                drift_fn, replace(cfg, n_steps=1 << level, record_path=False), agg[level]
-            )
-            sq_sums[j] += np.sum((out - ref) ** 2)
+            sq_sums[j] += np.sum((out[level] - out[ref_level]) ** 2)
 
     rmse = np.sqrt(sq_sums / n_chains)
     h_arr = np.array([2.0 ** (-k) for k in levels])

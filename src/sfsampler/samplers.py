@@ -41,8 +41,6 @@ class SfsConfig:
     drift: str = "gmm_exact"
     n_mc: int = 200          # pool size M for the Monte Carlo drift
     antithetic: bool = False
-    n_nodes: int = 64        # quadrature variant only
-    record_path: bool = False
 
     def __post_init__(self):
         if self.n_steps < 1:
@@ -66,7 +64,6 @@ class LangevinConfig:
     x0: Optional[np.ndarray] = None
     m0: Optional[np.ndarray] = None
     draw_momentum: bool = False
-    record_path: bool = False
 
     def __post_init__(self):
         if self.step <= 0:
@@ -118,14 +115,6 @@ def _check_finite(y, step, t):
         )
 
 
-def _finish(states, path, single, record):
-    """The terminal states, then the path if recorded; a single chain drops its chain axis."""
-    out = states + (np.stack(path, axis=1),) if record else states
-    if single:
-        out = tuple(a[0] for a in out)
-    return out[0] if len(out) == 1 else out
-
-
 # Every integrator takes either the whole path (start=None) or one time chunk
 # of it: increments for the global steps start, ..., start + k - 1, entered
 # from `state` (the value an earlier chunk returned; None for the initial
@@ -137,24 +126,21 @@ def sfs_run(drift_fn, cfg: SfsConfig, increments, start=None, state=None):
 
     increments must be N(0, h I) draws; the drift is only ever evaluated on the
     grid t_n = n h <= 1 - h. Identical increments and drift give bit-identical
-    output. Returns the terminal state, plus the path if cfg.record_path.
+    output. Returns the terminal state.
     """
     inc, single, steps = _as_batch(increments, cfg.n_steps, start, "increments")
     n_chains, _, d = inc.shape
     h = cfg.h
     sqrt_beta = np.sqrt(cfg.beta)
     y = _initial_state(state, n_chains, d)
-    path = [y.copy()] if cfg.record_path else None
     try:
         for j, n in enumerate(steps):
             f = drift_fn(y, n * h)
             y = y + h * f + sqrt_beta * inc[:, j]
             _check_finite(y, n, (n + 1) * h)
-            if path is not None:
-                path.append(y.copy())
     except ZeroMassError as exc:
         raise ZeroMassError(f"{exc} at step {n}", step=n, t=exc.t, chains=exc.chains) from None
-    return _finish((y,), path, single, cfg.record_path)
+    return y[0] if single else y
 
 
 def ula_run(target: TargetSpec, cfg: LangevinConfig, increments, start=None, state=None):
@@ -163,13 +149,10 @@ def ula_run(target: TargetSpec, cfg: LangevinConfig, increments, start=None, sta
     n_chains, _, d = inc.shape
     h = cfg.step
     x = _initial_state(cfg.x0 if state is None else state, n_chains, d)
-    path = [x.copy()] if cfg.record_path else None
     for j, n in enumerate(steps):
         x = x - h * grad_potential(target, x) + np.sqrt(2.0) * inc[:, j]
         _check_finite(x, n, (n + 1) * h)
-        if path is not None:
-            path.append(x.copy())
-    return _finish((x,), path, single, cfg.record_path)
+    return x[0] if single else x
 
 
 def uld_euler_run(target: TargetSpec, cfg: LangevinConfig, increments, start=None, state=None):
@@ -180,15 +163,12 @@ def uld_euler_run(target: TargetSpec, cfg: LangevinConfig, increments, start=Non
     x0, m0 = (cfg.x0, cfg.m0) if state is None else state
     x = _initial_state(x0, n_chains, d)
     m = _initial_state(m0, n_chains, d)
-    path = [x.copy()] if cfg.record_path else None
     for j, n in enumerate(steps):
         x_new = x + h * m
         m = m - h * grad_potential(target, x) - h * gamma * m + np.sqrt(2.0 * gamma) * inc[:, j]
         x = x_new
         _check_finite(np.concatenate([x, m], axis=-1), n, (n + 1) * h)
-        if path is not None:
-            path.append(x.copy())
-    return _finish((x, m), path, single, cfg.record_path)
+    return (x[0], m[0]) if single else (x, m)
 
 
 def baoab_run(target: TargetSpec, cfg: LangevinConfig, gaussians, start=None, state=None):
@@ -204,7 +184,6 @@ def baoab_run(target: TargetSpec, cfg: LangevinConfig, gaussians, start=None, st
     x0, m0 = (cfg.x0, cfg.m0) if state is None else state
     x = _initial_state(x0, n_chains, d)
     m = _initial_state(m0, n_chains, d)
-    path = [x.copy()] if cfg.record_path else None
     for j, n in enumerate(steps):
         m = m - 0.5 * h * grad_potential(target, x)
         x = x + 0.5 * h * m
@@ -212,9 +191,7 @@ def baoab_run(target: TargetSpec, cfg: LangevinConfig, gaussians, start=None, st
         x = x + 0.5 * h * m
         m = m - 0.5 * h * grad_potential(target, x)
         _check_finite(np.concatenate([x, m], axis=-1), n, (n + 1) * h)
-        if path is not None:
-            path.append(x.copy())
-    return _finish((x, m), path, single, cfg.record_path)
+    return (x[0], m[0]) if single else (x, m)
 
 
 def _initial_state(x0, n_chains, d):
@@ -249,12 +226,6 @@ class ChainStreams:
     m0: Optional[np.ndarray] = None    # (B, d) initial momenta (Langevin draw_momentum)
     pool: Optional[NoisePool] = None   # (B, M, d) stacked pools (Monte Carlo drifts)
 
-    def fill(self, chunk):
-        """Draw every chain's next chunk.shape[1] increments into chunk (B, k, d), in place."""
-        for gen, rows in zip(self.gens, chunk):
-            gen.standard_normal(out=rows)
-        chunk *= self.scale
-
 
 def open_chains(cfg, d, root_seed, chain_ids) -> ChainStreams:
     """Open RngStream(root_seed, i) for each chain i and draw, in the documented order,
@@ -278,24 +249,34 @@ def open_chains(cfg, d, root_seed, chain_ids) -> ChainStreams:
     )
 
 
+def increment_chunks(streams: ChainStreams, n_steps, d, align=1):
+    """Yield (start, chunk): every chain's increments for the global steps start, ...,
+    drawn into one reused (B, k, d) buffer. k fits NOISE_CHUNK_BYTES and is a multiple
+    of `align` (at least `align`), which must divide n_steps."""
+    b = len(streams.gens)
+    k = min(n_steps, max(align, NOISE_CHUNK_BYTES // (b * d * 8) // align * align))
+    buf = np.empty((b, k, d))
+    for start in range(0, n_steps, k):
+        chunk = buf[:, : min(k, n_steps - start)]
+        for gen, rows in zip(streams.gens, chunk):
+            gen.standard_normal(out=rows)
+        chunk *= streams.scale
+        yield start, chunk
+
+
 def _run_block(cfg, target, root_seed, chain_ids):
     """Terminal positions of one block, its increments drawn and integrated chunk by chunk."""
     streams = open_chains(cfg, target.dim, root_seed, chain_ids)
     if isinstance(cfg, SfsConfig):
-        drift_fn = make_drift(target, cfg.beta, cfg.drift, pool=streams.pool, n_nodes=cfg.n_nodes)
+        drift_fn = make_drift(target, cfg.beta, cfg.drift, pool=streams.pool)
         integrator, head = sfs_run, (drift_fn, cfg)
     else:
         if streams.m0 is not None:
             cfg = replace(cfg, m0=streams.m0, draw_momentum=False)
         integrator = {"ula": ula_run, "uld": uld_euler_run, "baoab": baoab_run}[cfg.method]
         head = (target, cfg)
-    n_steps, d = cfg.n_steps, target.dim
-    k = max(1, min(n_steps, NOISE_CHUNK_BYTES // (len(chain_ids) * d * 8)))
-    buf = np.empty((len(chain_ids), k, d))
     state = None
-    for start in range(0, n_steps, k):
-        chunk = buf[:, : min(k, n_steps - start)]
-        streams.fill(chunk)
+    for start, chunk in increment_chunks(streams, cfg.n_steps, target.dim):
         state = integrator(*head, chunk, start, state)
     return state[0] if isinstance(state, tuple) else state
 
@@ -326,8 +307,6 @@ def run_ensemble(cfg, target: TargetSpec, n_chains, root_seed, threads=1) -> Sam
     """
     if n_chains < 1:
         raise ConfigError(f"n_chains must be >= 1, got {n_chains}")
-    if cfg.record_path:
-        raise ConfigError("field 'record_path': run_ensemble returns terminal states only")
     t0 = time.perf_counter()
     blocks = [
         list(range(lo, min(lo + ENSEMBLE_BLOCK, n_chains)))

@@ -72,6 +72,20 @@ class TestDriftCheck:
         assert main(["drift-check"]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("beta", "abc"), ("M", "many"), ("t", "soon"), ("n_nodes", "x"), ("x", ["a", 0.1]),
+         ("x", [0.3])],
+    )
+    def test_malformed_field_named(self, tmp_path, capsys, field, value):
+        # [0.3] is one coordinate short of the 2-d ring
+        doc = {"target": RING_TARGET, "x": [0.3, 0.1], "t": 0.5, "variant": "stein_mc",
+               field: value}
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        assert main(["drift-check", "--input", str(path)]) == 2
+        assert f"field '{field}'" in capsys.readouterr().err
+
 
 class TestConfigHandling:
     def test_unknown_field_rejected(self, tmp_path):
@@ -246,6 +260,27 @@ class TestConvergence:
     def test_missing_h_list_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, target=PM2_TARGET, out=str(tmp_path / "o"))
         assert main(["convergence", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("h_list", ["x", 0.25, 0.125]), ("h_list", [0, 0.25, 0.125]),
+         ("h_list", [-0.5, 0.25, 0.125]), ("h_list", 0.25), ("h_list", [True, 0.25, 0.125]),
+         ("band", ["a", "b"]), ("band", [0.9, "x"])],
+    )
+    def test_malformed_field_named(self, tmp_path, capsys, field, value):
+        doc = {"h_list": [0.25, 0.125, 0.0625], "ref_level": 6, "n_chains": 4, field: value}
+        cfg = write_config(tmp_path, target=PM2_TARGET, out=str(tmp_path / "o"), **doc)
+        assert main(["convergence", "--config", cfg]) == 2
+        assert f"field '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_ref_level_outside_ladder_exits_2(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, target=PM2_TARGET, h_list=[0.25, 0.125, 0.0625], out=str(tmp_path / "o")
+        )
+        assert main(["convergence", "--config", cfg, "--ref-level", "21"]) == 2
+        assert "ref_level" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestW2Command:

@@ -18,6 +18,7 @@ from sfsampler import (
     w2_1d,
     w2_exact_smalln,
 )
+from sfsampler import metrics
 from sfsampler.errors import ConfigError
 
 
@@ -224,6 +225,23 @@ class TestStrongErrorCurve:
         cfg = SfsConfig(n_steps=1, beta=1.0, drift="gmm_exact")
         with pytest.raises(ConfigError):
             strong_error_curve(target, cfg, [2.0**-9], ref_level=8, n_chains=4, root_seed=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_chains", 0), ("n_chains", -3), ("h_list", []), ("ref_level", -1),
+         ("ref_level", 21)],
+    )
+    def test_inputs_checked_before_sampling(self, monkeypatch, field, value):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before checking the inputs")
+
+        monkeypatch.setattr(metrics, "open_chains", no_sampling)
+        target = make_gaussian_mixture([1.0], [0.0], [1.0])
+        cfg = SfsConfig(n_steps=1, beta=1.0, drift="gmm_exact")
+        args = {"h_list": [2.0**-3, 2.0**-4, 2.0**-5], "ref_level": 6, "n_chains": 4,
+                "root_seed": 0, field: value}
+        with pytest.raises(ConfigError, match=field):
+            strong_error_curve(target, cfg, **args)
 
     def test_report_serializes(self):
         target = make_gaussian_mixture([0.75, 0.25], [-2.0, 2.0], [0.2, 0.8])

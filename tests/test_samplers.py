@@ -24,7 +24,7 @@ from sfsampler import (
 )
 from sfsampler import metrics, samplers
 from sfsampler.errors import ConfigError, DivergenceError, ZeroMassError
-from sfsampler.samplers import open_chains
+from sfsampler.samplers import increment_chunks, open_chains
 
 
 def standard_gaussian_target(d=1):
@@ -36,9 +36,8 @@ def standard_gaussian_target(d=1):
 def chain_noise(cfg, target, root_seed, chain_ids):
     """Each chain's whole Brownian path, drawn through the per-chain draw protocol."""
     streams = open_chains(cfg, target.dim, root_seed, chain_ids)
-    noise = np.empty((len(streams.gens), cfg.n_steps, target.dim))
-    streams.fill(noise)
-    return noise
+    chunks = increment_chunks(streams, cfg.n_steps, target.dim)
+    return np.concatenate([chunk.copy() for _, chunk in chunks], axis=1)
 
 
 def zero_grad_target(d=1):
@@ -78,14 +77,6 @@ class TestSfsRun:
         singles = np.stack([sfs_run(drift, cfg, incs[i]) for i in range(3)])
         assert np.array_equal(batched, singles)
 
-    def test_record_path_shape(self):
-        target = standard_gaussian_target()
-        drift = make_drift(target, 1.0, "gmm_exact")
-        inc = brownian_ladder_make(1, 4, RngStream(3, 0)).increments
-        out, path = sfs_run(drift, SfsConfig(n_steps=16, record_path=True), inc)
-        assert path.shape == (17, 1)
-        assert np.array_equal(path[-1], out)
-
     def test_step_count_mismatch(self):
         drift = make_drift(standard_gaussian_target(), 1.0, "gmm_exact")
         with pytest.raises(ConfigError):
@@ -123,18 +114,18 @@ class TestUlaRun:
         assert out == pytest.approx(np.sqrt(2.0) * inc.sum(axis=0), abs=1e-12)
 
     def test_quadratic_stationary_variance(self):
-        # AR(1): x' = (1 - h) x + sqrt(2) dW, stationary variance 1 / (1 - h/2)
+        # AR(1): x' = phi x + sqrt(2) dW from x = 0 with phi = 1 - h; after n steps the
+        # variance is (1 - phi^(2n)) / (1 - h/2), stationary 1 / (1 - h/2) as n grows
         target = standard_gaussian_target()
-        h, n = 0.1, 100_000
-        cfg = LangevinConfig(step=h, horizon=h * n, method="ula", record_path=True)
-        inc = RngStream(5, 0).generator().standard_normal((n, 1)) * np.sqrt(h)
-        _, path = ula_run(target, cfg, inc)
-        x = path[1000:, 0]
-        expect = 1.0 / (1.0 - h / 2.0)
-        # 3 standard errors for an AR(1) variance estimate with phi = 1 - h
+        h, n, chains = 0.1, 200, 20_000
+        cfg = LangevinConfig(step=h, horizon=h * n, method="ula")
+        inc = RngStream(5, 0).generator().standard_normal((chains, n, 1)) * np.sqrt(h)
+        x = ula_run(target, cfg, inc)[:, 0]
         phi = 1.0 - h
-        se = expect * np.sqrt(2.0 * (1.0 + phi**2) / ((1.0 - phi**2) * x.size))
-        assert np.var(x) == pytest.approx(expect, abs=3.0 * se)
+        expect = (1.0 - phi ** (2 * n)) / (1.0 - h / 2.0)
+        # 3 standard errors of the variance of independent Gaussian chains
+        se = expect * np.sqrt(2.0 / (chains - 1))
+        assert np.var(x, ddof=1) == pytest.approx(expect, abs=3.0 * se)
 
     def test_initial_state(self):
         target = zero_grad_target(1)
@@ -317,11 +308,6 @@ class TestRunEnsemble:
         assert batch.meta["seed"] == 9
         assert batch.meta["wall_time_s"] > 0
 
-    def test_record_path_rejected(self):
-        cfg = SfsConfig(n_steps=4, record_path=True)
-        with pytest.raises(ConfigError, match="record_path"):
-            run_ensemble(cfg, standard_gaussian_target(), n_chains=2, root_seed=0)
-
     def test_zero_mass_names_global_chain_ids(self):
         # support x > -1: at t = 0 every chain sits at 0 and evaluates y = xi, so a
         # chain loses all weight mass exactly when both its pool draws lie at or below -1
@@ -342,12 +328,13 @@ def chunk_steps(monkeypatch, n_chains, dim, steps):
     monkeypatch.setattr(samplers, "NOISE_CHUNK_BYTES", n_chains * dim * 8 * steps)
 
 
-def record_increments(monkeypatch, module, name):
-    """Copies of the increments each call of module.name receives (the buffer is reused)."""
+def record_runs(monkeypatch, module, name):
+    """(n_steps, start, increments) of each call of the integrator module.name; the
+    increments are copied because the chunk buffer is reused."""
     seen, original = [], getattr(module, name)
 
     def recording(*args, **kwargs):
-        seen.append(np.array(args[2]))
+        seen.append((args[1].n_steps, args[3], np.array(args[2])))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, recording)
@@ -375,9 +362,9 @@ class TestChunkedIncrements:
         target = make_two_mode_gmm(3, separation=4.0, variance=0.5)
         whole = run_ensemble(cfg, target, n_chains=5, root_seed=12).samples
         chunk_steps(monkeypatch, 5, target.dim, steps)
-        seen = record_increments(monkeypatch, samplers, integrator)
+        seen = record_runs(monkeypatch, samplers, integrator)
         chunked = run_ensemble(cfg, target, n_chains=5, root_seed=12).samples
-        assert [c.shape[1] for c in seen] == [min(steps, 20 - s) for s in range(0, 20, steps)]
+        assert [c.shape[1] for _, _, c in seen] == [min(steps, 20 - s) for s in range(0, 20, steps)]
         assert np.array_equal(chunked, whole)
 
     def test_divergence_past_a_chunk_boundary_reports_the_global_step(self, monkeypatch):
@@ -394,6 +381,19 @@ class TestChunkedIncrements:
         assert whole.value.step >= 2
         assert (chunked.value.step, chunked.value.t) == (whole.value.step, whole.value.t)
         assert chunked.value.chains == whole.value.chains
+
+    def test_curve_memory_is_one_chunk(self):
+        # one block's whole 2^10-step path at d = 10 would take 42 MB (84 MB with the
+        # halved levels held as well)
+        target = make_two_mode_gmm(10, separation=3.0, variance=0.5)
+        cfg = SfsConfig(n_steps=1, drift="gmm_exact")
+        tracemalloc.start()
+        try:
+            strong_error_curve(target, cfg, [2.0**-3, 2.0**-4, 2.0**-5], 10, 512, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
 
     def test_noise_memory_is_one_chunk(self):
         # the whole path of 64 chains, 1000 steps, d = 100 would take 51 MB
@@ -417,10 +417,43 @@ class TestChunkedIncrements:
         level, n = 5, 3
         cfg = SfsConfig(n_steps=2**level, drift="stein_mc", n_mc=8)
         chunk_steps(monkeypatch, n, target.dim, 3)
-        streamed = record_increments(monkeypatch, samplers, "sfs_run")
+        streamed = record_runs(monkeypatch, samplers, "sfs_run")
         run_ensemble(cfg, target, n_chains=n, root_seed=21)
-        reference = record_increments(monkeypatch, metrics, "sfs_run")
+        runs = record_runs(monkeypatch, metrics, "sfs_run")
         strong_error_curve(target, cfg, [2.0**-2, 2.0**-3, 2.0**-4], level, n, 21)
+        reference = [inc for n_steps, _, inc in runs if n_steps == 2**level]
         assert len(streamed) == 11
-        assert reference[0].shape == (n, 2**level, target.dim)
-        assert np.array_equal(np.concatenate(streamed, axis=1), reference[0])
+        assert len(reference) == 4  # chunks of one 2^-2 step, 8 reference steps each
+        assert np.array_equal(
+            np.concatenate([inc for _, _, inc in streamed], axis=1),
+            np.concatenate(reference, axis=1),
+        )
+
+    CURVES = {
+        "gmm_exact": (
+            make_gaussian_mixture([0.5, 0.5], [-1.0, 1.0], [0.8, 0.8]),
+            SfsConfig(n_steps=1, drift="gmm_exact"),
+        ),
+        "stein_mc_antithetic": (
+            make_two_mode_gmm(2, separation=3.0, variance=0.5),
+            SfsConfig(n_steps=1, drift="stein_mc", n_mc=8, antithetic=True),
+        ),
+    }
+
+    @pytest.mark.parametrize("steps", [3, 20])
+    @pytest.mark.parametrize("case", list(CURVES))
+    def test_chunk_length_never_changes_the_curve(self, monkeypatch, case, steps):
+        target, cfg = self.CURVES[case]
+        h_list, ref_level, n = [2.0**-3, 2.0**-4, 2.0**-5], 6, 6
+        whole = strong_error_curve(target, cfg, h_list, ref_level, n, 8)
+        chunk_steps(monkeypatch, n, target.dim, steps)
+        runs = record_runs(monkeypatch, metrics, "sfs_run")
+        chunked = strong_error_curve(target, cfg, h_list, ref_level, n, 8)
+        assert chunked.rmse.tobytes() == whole.rmse.tobytes()
+        assert chunked.slope == whole.slope
+        # chunks hold whole 2^-3 steps: 3 steps round up to 8, 20 round down to 16
+        k = max(8, steps // 8 * 8)
+        for level in (6, 5, 4, 3):
+            calls = [(start, inc.shape[1]) for n_steps, start, inc in runs if n_steps == 2**level]
+            shift = ref_level - level
+            assert calls == [(s >> shift, k >> shift) for s in range(0, 64, k)]
