@@ -55,7 +55,6 @@ REAL_FIELDS = ("beta", "h", "gamma", "horizon")
 class RunConfig:
     """Fully resolved run configuration (file values overridden by flags)."""
 
-    experiment: str = "sample"
     target: dict = field(default_factory=dict)
     sampler: str = "sfs"
     drift: str = "auto"
@@ -139,11 +138,19 @@ def _check_number(name, value) -> float:
     return float(value)
 
 
+def _check_bool(name, value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"field '{name}': expected true or false, got {value!r}")
+    return value
+
+
 def _validate(cfg: RunConfig):
     for name, (low, high) in INT_FIELDS.items():
         _check_int(name, getattr(cfg, name), low, high)
     for name in REAL_FIELDS:
         _check_number(name, getattr(cfg, name))
+    for name in ("antithetic", "full"):
+        _check_bool(name, getattr(cfg, name))
     if cfg.sampler not in ("sfs", "ula", "uld", "baoab"):
         raise ConfigError(f"field 'sampler': unknown sampler '{cfg.sampler}'")
     if cfg.drift not in ("auto",) + DRIFT_VARIANTS:
@@ -199,18 +206,13 @@ def _sampler_config(cfg: RunConfig, target: TargetSpec):
     )
 
 
-def _public_meta(meta: dict) -> dict:
-    # wall time is run-dependent; keep serialized artifacts byte-reproducible
-    return {k: v for k, v in meta.items() if k != "wall_time_s"}
-
-
 def cmd_sample(cfg: RunConfig) -> int:
     target = _build_target(cfg)
     scfg = _sampler_config(cfg, target)
     batch = run_ensemble(scfg, target, cfg.n_chains, cfg.seed, threads=cfg.threads)
     os.makedirs(cfg.out, exist_ok=True)
     write_samples_csv(batch.samples, os.path.join(cfg.out, "samples.csv"))
-    write_json(_public_meta(batch.meta), os.path.join(cfg.out, "meta.json"))
+    write_json(batch.meta, os.path.join(cfg.out, "meta.json"))
     write_histograms(batch.samples, cfg.out)
     print(f"wrote {batch.n_chains} chains (d={batch.dim}) to {cfg.out}/samples.csv")
     return EXIT_OK
@@ -226,7 +228,7 @@ def cmd_convergence(cfg: RunConfig) -> int:
         antithetic=cfg.antithetic,
     )
     report = strong_error_curve(
-        target, scfg, cfg.h_list, cfg.ref_level, cfg.n_chains, cfg.seed
+        target, scfg, cfg.h_list, cfg.ref_level, cfg.n_chains, cfg.seed, threads=cfg.threads
     )
     os.makedirs(cfg.out, exist_ok=True)
     emit_csv(
@@ -339,7 +341,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     emit_csv(["variant_a", "variant_b", "w2", "method"], w2_rows, os.path.join(cfg.out, "w2.csv"))
 
     summary = {
-        "variants": {lab: _public_meta(b.meta) for lab, b in zip(labels, batches)},
+        "variants": {lab: b.meta for lab, b in zip(labels, batches)},
         "modes": mode_table,
         "w2": w2_table,
     }
@@ -397,7 +399,8 @@ def cmd_drift_check(args) -> int:
         seed = _check_int("seed", doc.get("seed", 42), *INT_FIELDS["seed"])
         gen = RngStream(seed, 0).generator()
         n_mc = _check_int("M", doc.get("M", 200), *INT_FIELDS["M"])
-        pool = make_noise_pool(n_mc, target.dim, gen, antithetic=bool(doc.get("antithetic", False)))
+        antithetic = _check_bool("antithetic", doc.get("antithetic", False))
+        pool = make_noise_pool(n_mc, target.dim, gen, antithetic=antithetic)
     n_nodes = _check_int("n_nodes", doc.get("n_nodes", 64))
     drift_fn = make_drift(target, beta, variant, pool=pool, n_nodes=n_nodes)
     value = drift_fn(x.astype(float), t)
@@ -463,9 +466,7 @@ def main(argv=None) -> int:
             for key in ("seed", "n_chains", "out", "threads", "beta", "h", "M",
                         "sampler", "drift", "full", "ref_level")
         }
-        cfg = load_config(args.config, overrides)
-        cfg.experiment = args.command
-        return _CONFIG_COMMANDS[args.command](cfg)
+        return _CONFIG_COMMANDS[args.command](load_config(args.config, overrides))
     except ConfigError as exc:
         print(f"ERROR[config] {exc}", file=sys.stderr)
         return EXIT_CONFIG

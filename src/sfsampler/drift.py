@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, ZeroMassError
 from .numerics import gauss_hermite_normal, softmax
-from .rng import RngStream, _as_generator
+from .rng import _as_generator
 from .targets import GaussianMixture, TargetSpec
 
 DRIFT_VARIANTS = ("gmm_exact", "stein_mc", "grad_mc", "quadrature")

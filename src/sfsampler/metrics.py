@@ -17,7 +17,7 @@ from .numerics import SpdMatrix
 from .rng import MAX_LADDER_LEVEL, _as_generator, halve_increments
 # unused here since the curve streams its paths, but perfbench/tracing.py patches it
 from .rng import brownian_ladder_make  # noqa: F401
-from .samplers import ENSEMBLE_BLOCK, SampleBatch, SfsConfig, increment_chunks, open_chains, sfs_run
+from .samplers import SampleBatch, SfsConfig, increment_chunks, map_blocks, open_chains, sfs_run
 from .targets import TargetSpec
 
 W2_EXACT_MAX_N = 4096
@@ -223,17 +223,15 @@ def _dyadic_level(h) -> int:
 
 
 def strong_error_curve(
-    target: TargetSpec, cfg: SfsConfig, h_list, ref_level, n_chains, root_seed
+    target: TargetSpec, cfg: SfsConfig, h_list, ref_level, n_chains, root_seed, threads=1
 ) -> ConvergenceReport:
     """Pathwise RMSE of coarse runs against a coupled 2**-ref_level reference.
 
-    Chain i's reference path is the one `run_ensemble` draws at step 2**-ref_level;
-    coarse runs use pairwise-aggregated increments of it, and Monte Carlo drifts reuse
-    the chain's pool at every step size. Each block streams its path in time chunks
-    of whole coarsest steps, advancing the reference and every coarse run together.
+    Chain i's reference path is the one `run_ensemble` draws at step 2**-ref_level, in
+    the same blocks and time chunks; coarse runs use pairwise sums of its increments (an
+    odd one left at a chunk's end pairs with the next chunk's first), and Monte Carlo
+    drifts reuse the chain's pool at every step size.
     """
-    if n_chains < 1:
-        raise ConfigError(f"n_chains must be >= 1, got {n_chains}")
     if not (0 <= ref_level <= MAX_LADDER_LEVEL):
         raise ConfigError(f"ref_level must be in [0, {MAX_LADDER_LEVEL}], got {ref_level}")
     levels = [_dyadic_level(h) for h in h_list]
@@ -243,25 +241,29 @@ def strong_error_curve(
         raise ConfigError("every h must be at least as coarse as the reference step")
 
     coarsest = min(levels)
-    align = 1 << (ref_level - coarsest)  # fine steps per coarsest step
     ref_cfg = replace(cfg, n_steps=1 << ref_level)
-    sq_sums = np.zeros(len(levels))
-    for lo in range(0, n_chains, ENSEMBLE_BLOCK):
-        ids = range(lo, min(lo + ENSEMBLE_BLOCK, n_chains))
+
+    def block(ids):  # the block's squared-error sum at each step of h_list
         streams = open_chains(ref_cfg, target.dim, root_seed, ids)
         drift_fn = make_drift(target, cfg.beta, cfg.drift, pool=streams.pool)
         out = dict.fromkeys([ref_level, *levels])  # each run's state after the chunks so far
-        for start, inc in increment_chunks(streams, ref_cfg.n_steps, target.dim, align):
+        spare = dict.fromkeys(range(coarsest, ref_level), np.empty((len(ids), 0, target.dim)))
+        for start, inc in increment_chunks(streams, ref_cfg.n_steps, target.dim):
             for level in range(ref_level, coarsest - 1, -1):
                 if level < ref_level:
-                    inc = halve_increments(inc)
+                    if spare[level].shape[1]:
+                        inc = np.concatenate([spare[level], inc], axis=1)
+                    even = inc.shape[1] // 2 * 2
+                    inc, spare[level] = halve_increments(inc[:, :even]), inc[:, even:].copy()
+                    if not even:
+                        break
                 if level in out:
                     level_cfg = replace(cfg, n_steps=1 << level)
-                    first = start >> (ref_level - level)  # the chunk's first step at this level
+                    first = start >> (ref_level - level)  # its steps before the chunk
                     out[level] = sfs_run(drift_fn, level_cfg, inc, first, out[level])
-        for j, level in enumerate(levels):
-            sq_sums[j] += np.sum((out[level] - out[ref_level]) ** 2)
+        return np.array([np.sum((out[level] - out[ref_level]) ** 2) for level in levels])
 
+    sq_sums = sum(map_blocks(block, n_chains, threads))
     rmse = np.sqrt(sq_sums / n_chains)
     h_arr = np.array([2.0 ** (-k) for k in levels])
     order = np.argsort(h_arr)[::-1]

@@ -6,11 +6,11 @@ increments for coupled coarse/fine path simulation.
 
 Per-chain draw protocol (fixed so that coupled experiments stay reproducible):
 momentum init (if any), then the noise pool (if any), then Brownian increments.
-`samplers.open_chains` and `samplers.increment_chunks` implement it, drawing
-the increments in time chunks, for both the ensemble runner and the convergence
-curve. Consecutive draws from one generator equal one whole draw, so results do
-not depend on the chunk size, and a Brownian ladder drawn after the same pool
-is the same path.
+`samplers.open_chains` and `samplers.increment_chunks` implement it, in the
+same blocks (`samplers.map_blocks`) and time chunks for the ensemble runner and
+the convergence curve. Consecutive draws from one generator equal one whole
+draw, so results do not depend on the chunk size, and a Brownian ladder drawn
+after the same pool is the same path.
 """
 
 from __future__ import annotations

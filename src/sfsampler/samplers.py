@@ -12,7 +12,6 @@ length too.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -249,12 +248,12 @@ def open_chains(cfg, d, root_seed, chain_ids) -> ChainStreams:
     )
 
 
-def increment_chunks(streams: ChainStreams, n_steps, d, align=1):
+def increment_chunks(streams: ChainStreams, n_steps, d):
     """Yield (start, chunk): every chain's increments for the global steps start, ...,
-    drawn into one reused (B, k, d) buffer. k fits NOISE_CHUNK_BYTES and is a multiple
-    of `align` (at least `align`), which must divide n_steps."""
+    drawn into one reused (B, k, d) buffer, k the most steps (at least one) that fit
+    NOISE_CHUNK_BYTES."""
     b = len(streams.gens)
-    k = min(n_steps, max(align, NOISE_CHUNK_BYTES // (b * d * 8) // align * align))
+    k = min(n_steps, max(1, NOISE_CHUNK_BYTES // (b * d * 8)))
     buf = np.empty((b, k, d))
     for start in range(0, n_steps, k):
         chunk = buf[:, : min(k, n_steps - start)]
@@ -297,25 +296,18 @@ def _aggregate(failed):
     return kind(message, step=first.step, t=first.t, chains=chains)
 
 
-def run_ensemble(cfg, target: TargetSpec, n_chains, root_seed, threads=1) -> SampleBatch:
-    """Run n_chains independent chains; chain i draws from RngStream(root_seed, i).
-
-    The chain partition into fixed-size blocks is independent of `threads`, so
-    the result is bit-identical for any worker count. A numerical failure in any
-    block (a non-finite state, a drift with zero weight mass) fails the whole
-    batch, with the step, t and global chain indices aggregated.
-    """
+def map_blocks(fn, n_chains, threads=1) -> list:
+    """fn(ids) for each fixed ENSEMBLE_BLOCK of chain ids, in block order, on `threads`
+    workers, which never changes a result. A numerical failure in any block fails the
+    whole call, with the step, t and global chain ids of every failed block."""
     if n_chains < 1:
         raise ConfigError(f"n_chains must be >= 1, got {n_chains}")
-    t0 = time.perf_counter()
-    blocks = [
-        list(range(lo, min(lo + ENSEMBLE_BLOCK, n_chains)))
-        for lo in range(0, n_chains, ENSEMBLE_BLOCK)
-    ]
+    ids = list(range(n_chains))
+    blocks = [ids[lo : lo + ENSEMBLE_BLOCK] for lo in range(0, n_chains, ENSEMBLE_BLOCK)]
 
     def task(ids):
         try:
-            return _run_block(cfg, target, root_seed, ids), None
+            return fn(ids), None
         except NumericalError as exc:
             exc.chains = [ids[c] for c in exc.chains]
             return None, exc
@@ -329,7 +321,13 @@ def run_ensemble(cfg, target: TargetSpec, n_chains, root_seed, threads=1) -> Sam
     failed = [err for _, err in results if err is not None]
     if failed:
         raise _aggregate(failed)
-    samples = np.concatenate([out for out, _ in results], axis=0)
+    return [out for out, _ in results]
+
+
+def run_ensemble(cfg, target: TargetSpec, n_chains, root_seed, threads=1) -> SampleBatch:
+    """Run n_chains chains through `map_blocks`; chain i draws from RngStream(root_seed, i)."""
+    blocks = map_blocks(lambda ids: _run_block(cfg, target, root_seed, ids), n_chains, threads)
+    samples = np.concatenate(blocks, axis=0)
     meta = {
         "sampler": cfg.drift if isinstance(cfg, SfsConfig) else cfg.method,
         "method": "sfs" if isinstance(cfg, SfsConfig) else cfg.method,
@@ -340,6 +338,5 @@ def run_ensemble(cfg, target: TargetSpec, n_chains, root_seed, threads=1) -> Sam
         "seed": int(root_seed),
         "n_chains": int(n_chains),
         "dim": target.dim,
-        "wall_time_s": time.perf_counter() - t0,  # excluded from serialized artifacts
     }
     return SampleBatch(samples=samples, meta=meta)

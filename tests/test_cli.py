@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from sfsampler import GmmExactDrift, make_gaussian_mixture
+from sfsampler import GmmExactDrift, make_gaussian_mixture, samplers
 from sfsampler.cli import main
 from sfsampler.output import write_samples_csv
 
@@ -75,7 +75,7 @@ class TestDriftCheck:
     @pytest.mark.parametrize(
         "field, value",
         [("beta", "abc"), ("M", "many"), ("t", "soon"), ("n_nodes", "x"), ("x", ["a", 0.1]),
-         ("x", [0.3])],
+         ("x", [0.3]), ("antithetic", "false")],
     )
     def test_malformed_field_named(self, tmp_path, capsys, field, value):
         # [0.3] is one coordinate short of the 2-d ring
@@ -89,8 +89,9 @@ class TestDriftCheck:
 
 class TestConfigHandling:
     def test_unknown_field_rejected(self, tmp_path):
-        cfg = write_config(tmp_path, target=PM2_TARGET, stepsize=0.1)
-        assert main(["sample", "--config", cfg]) == 2
+        for extra in ({"stepsize": 0.1}, {"experiment": "sample"}):
+            cfg = write_config(tmp_path, target=PM2_TARGET, **extra)
+            assert main(["sample", "--config", cfg]) == 2
 
     def test_missing_weights_named(self, tmp_path, capsys):
         bad = {"kind": "gaussian_mixture", "means": [0.0], "covs": [1.0]}
@@ -127,6 +128,14 @@ class TestConfigHandling:
         [("n_chains", "10"), ("seed", True), ("threads", 1.5), ("M", "200"), ("ref_level", 12.0)],
     )
     def test_non_integer_field_named(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path, target=PM2_TARGET, h=0.125, out=str(tmp_path / "o"),
+                           **{field: value})
+        assert main(["sample", "--config", cfg]) == 2
+        assert f"field '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("field, value", [("antithetic", "no"), ("full", "yes")])
+    def test_non_boolean_field_named(self, tmp_path, capsys, field, value):
         cfg = write_config(tmp_path, target=PM2_TARGET, h=0.125, out=str(tmp_path / "o"),
                            **{field: value})
         assert main(["sample", "--config", cfg]) == 2
@@ -250,6 +259,24 @@ class TestConvergence:
             band=[2.0, 3.0],
         )
         assert main(["convergence", "--config", cfg]) == 4
+
+    def test_thread_count_never_changes_the_files(self, tmp_path, monkeypatch):
+        workers = []
+
+        class RecordingPool(samplers.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(samplers, "ThreadPoolExecutor", RecordingPool)
+        cfg = write_config(tmp_path, target=PM2_TARGET, h_list=[2.0**-2, 2.0**-3, 2.0**-4],
+                           ref_level=6, n_chains=600, band=[0.0, 2.0])
+        for threads in ("1", "2"):
+            args = ["--threads", threads, "--out", str(tmp_path / threads)]
+            assert main(["convergence", "--config", cfg, *args]) == 0
+        assert workers == [2]
+        for name in ("rates.csv", "report.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     def test_non_dyadic_step_exits_2(self, tmp_path):
         cfg = write_config(

@@ -243,6 +243,16 @@ class TestStrongErrorCurve:
         with pytest.raises(ConfigError, match=field):
             strong_error_curve(target, cfg, **args)
 
+    def test_worker_count_never_changes_the_curve(self):
+        target = make_gaussian_mixture([0.75, 0.25], [-2.0, 2.0], [0.2, 0.8])
+        cfg = SfsConfig(n_steps=1, beta=1.0, drift="gmm_exact")
+        a, b = (
+            strong_error_curve(target, cfg, [2.0**-2, 2.0**-3, 2.0**-4], 6, 1030, 5, threads=t)
+            for t in (1, 2)
+        )
+        assert a.rmse.tobytes() == b.rmse.tobytes()
+        assert a.slope == b.slope
+
     def test_report_serializes(self):
         target = make_gaussian_mixture([0.75, 0.25], [-2.0, 2.0], [0.2, 0.8])
         cfg = SfsConfig(n_steps=1, beta=1.0, drift="gmm_exact")

@@ -306,9 +306,18 @@ class TestRunEnsemble:
         assert batch.meta["beta"] == 2.0
         assert batch.meta["n_chains"] == 4
         assert batch.meta["seed"] == 9
-        assert batch.meta["wall_time_s"] > 0
 
-    def test_zero_mass_names_global_chain_ids(self):
+    @pytest.mark.parametrize(
+        "run",
+        [
+            pytest.param(lambda cfg, target, n: run_ensemble(cfg, target, n, 5), id="run_ensemble"),
+            pytest.param(
+                lambda cfg, target, n: strong_error_curve(target, cfg, [1.0, 0.5], 2, n, 5),
+                id="strong_error_curve",
+            ),
+        ],
+    )
+    def test_zero_mass_names_global_chain_ids(self, run):
         # support x > -1: at t = 0 every chain sits at 0 and evaluates y = xi, so a
         # chain loses all weight mass exactly when both its pool draws lie at or below -1
         half_line = make_custom(lambda x: np.where(x[..., 0] > -1.0, 0.0, np.inf), dim=1)
@@ -318,7 +327,7 @@ class TestRunEnsemble:
         dead = np.flatnonzero(np.all(xi <= -1.0, axis=-1)).tolist()
         assert any(c < 512 for c in dead) and any(c >= 512 for c in dead)
         with pytest.raises(ZeroMassError) as err:
-            run_ensemble(cfg, half_line, n_chains=n, root_seed=5)
+            run(cfg, half_line, n)
         assert (err.value.step, err.value.t) == (0, 0.0)
         assert err.value.chains == dead
 
@@ -382,14 +391,16 @@ class TestChunkedIncrements:
         assert (chunked.value.step, chunked.value.t) == (whole.value.step, whole.value.t)
         assert chunked.value.chains == whole.value.chains
 
-    def test_curve_memory_is_one_chunk(self):
+    @pytest.mark.parametrize("coarsest", [3, 1])
+    def test_curve_memory_is_one_chunk(self, coarsest):
         # one block's whole 2^10-step path at d = 10 would take 42 MB (84 MB with the
-        # halved levels held as well)
+        # halved levels held as well); chunks of whole 2^-1 steps would take 37 MB
         target = make_two_mode_gmm(10, separation=3.0, variance=0.5)
         cfg = SfsConfig(n_steps=1, drift="gmm_exact")
+        h_list = [2.0 ** -(coarsest + j) for j in range(3)]
         tracemalloc.start()
         try:
-            strong_error_curve(target, cfg, [2.0**-3, 2.0**-4, 2.0**-5], 10, 512, 1)
+            strong_error_curve(target, cfg, h_list, 10, 512, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -421,13 +432,13 @@ class TestChunkedIncrements:
         run_ensemble(cfg, target, n_chains=n, root_seed=21)
         runs = record_runs(monkeypatch, metrics, "sfs_run")
         strong_error_curve(target, cfg, [2.0**-2, 2.0**-3, 2.0**-4], level, n, 21)
-        reference = [inc for n_steps, _, inc in runs if n_steps == 2**level]
+        reference = [(start, inc) for n_steps, start, inc in runs if n_steps == 2**level]
         assert len(streamed) == 11
-        assert len(reference) == 4  # chunks of one 2^-2 step, 8 reference steps each
-        assert np.array_equal(
-            np.concatenate([inc for _, _, inc in streamed], axis=1),
-            np.concatenate(reference, axis=1),
-        )
+        assert [(start, inc.shape[1]) for start, inc in reference] == [
+            (start, inc.shape[1]) for _, start, inc in streamed
+        ]
+        for (_, ref_inc), (_, _, inc) in zip(reference, streamed):
+            assert np.array_equal(ref_inc, inc)
 
     CURVES = {
         "gmm_exact": (
@@ -440,7 +451,7 @@ class TestChunkedIncrements:
         ),
     }
 
-    @pytest.mark.parametrize("steps", [3, 20])
+    @pytest.mark.parametrize("steps", [1, 3, 20])
     @pytest.mark.parametrize("case", list(CURVES))
     def test_chunk_length_never_changes_the_curve(self, monkeypatch, case, steps):
         target, cfg = self.CURVES[case]
@@ -451,9 +462,12 @@ class TestChunkedIncrements:
         chunked = strong_error_curve(target, cfg, h_list, ref_level, n, 8)
         assert chunked.rmse.tobytes() == whole.rmse.tobytes()
         assert chunked.slope == whole.slope
-        # chunks hold whole 2^-3 steps: 3 steps round up to 8, 20 round down to 16
-        k = max(8, steps // 8 * 8)
         for level in (6, 5, 4, 3):
             calls = [(start, inc.shape[1]) for n_steps, start, inc in runs if n_steps == 2**level]
-            shift = ref_level - level
-            assert calls == [(s >> shift, k >> shift) for s in range(0, 64, k)]
+            if level == ref_level:
+                assert [k for _, k in calls] == [min(steps, 64 - s) for s in range(0, 64, steps)]
+            # nonempty chunks that cover the level's steps in order
+            ends = np.cumsum([k for _, k in calls])
+            assert all(k > 0 for _, k in calls)
+            assert [start for start, _ in calls] == [0, *ends[:-1]]
+            assert ends[-1] == 2**level
