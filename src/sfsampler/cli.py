@@ -391,15 +391,15 @@ def cmd_drift_check(args) -> int:
     x = np.array(doc["x"], dtype=object)  # ragged lists give lists as elements
     if x.ndim < 1 or x.shape[-1] != target.dim or not all(map(_is_number, x.flat)):
         raise ConfigError(f"field 'x': expected points of dimension {target.dim}, got {doc['x']!r}")
+    seed = _check_int("seed", doc.get("seed", 42), *INT_FIELDS["seed"])
+    n_mc = _check_int("M", doc.get("M", 200), *INT_FIELDS["M"])
+    antithetic = _check_bool("antithetic", doc.get("antithetic", False))
     variant = doc.get("variant", "auto")
     if variant == "auto":
         variant = "gmm_exact" if target.mixture is not None else "stein_mc"
     pool = None
     if variant in ("stein_mc", "grad_mc"):
-        seed = _check_int("seed", doc.get("seed", 42), *INT_FIELDS["seed"])
         gen = RngStream(seed, 0).generator()
-        n_mc = _check_int("M", doc.get("M", 200), *INT_FIELDS["M"])
-        antithetic = _check_bool("antithetic", doc.get("antithetic", False))
         pool = make_noise_pool(n_mc, target.dim, gen, antithetic=antithetic)
     n_nodes = _check_int("n_nodes", doc.get("n_nodes", 64))
     drift_fn = make_drift(target, beta, variant, pool=pool, n_nodes=n_nodes)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ZeroMassError
-from .numerics import gauss_hermite_normal, softmax
+from .numerics import gauss_hermite_normal, softmax, weighted_sum
 from .rng import _as_generator
 from .targets import GaussianMixture, TargetSpec
 
@@ -66,11 +66,6 @@ def stack_pools(pools) -> NoisePool:
     """Stack per-chain pools into one (B, M, d) pool for batched evaluation."""
     xi = np.stack([p.xi for p in pools])
     return NoisePool(xi=xi, antithetic=all(p.antithetic for p in pools))
-
-
-def _weighted_sum(p, v):
-    """sum_j p_j v_j over the pool axis: (..., M) weights and (..., M, d) vectors -> (..., d)."""
-    return (p[..., None, :] @ v)[..., 0, :]
 
 
 class GmmExactDrift:
@@ -137,8 +132,10 @@ class SteinMcDrift:
 
     form="stein" uses the gradient-free identity (weighted mean of the pool
     vectors); form="grad" uses the analytic gradient of the density ratio,
-    available when the target supplies grad V, with the weights and the gradient
-    from one `log_g_and_grad` evaluation per step.
+    available when the target supplies grad V. Both evaluate the target through
+    its pool evaluator (`TargetSpec.pool_evaluator`), built once per pool: one
+    pass per step gives the log weights and, for form="grad", the weighted
+    gradient.
     """
 
     def __init__(self, target: TargetSpec, beta, pool: NoisePool, form="stein"):
@@ -152,18 +149,17 @@ class SteinMcDrift:
         self.beta = float(beta)
         self.pool = pool
         self.form = form
+        self.evaluator = target.pool_evaluator(self.beta, pool.xi)
 
     def __call__(self, x, t):
         t = _check_t(t)
         x = np.asarray(x, dtype=float)
         beta = self.beta
-        xi = self.pool.xi
         s = (1.0 - t) * beta
-        y = x[..., None, :] + np.sqrt(s) * xi
         if self.form == "grad":
-            logg, glog = self.target.log_g_and_grad(beta, y)
+            logg, weighted_grad = self.evaluator.log_g_and_grad(x, s)
         else:
-            logg = self.target.log_g_beta(beta, y)
+            logg = self.evaluator.log_g(x, s)
         dead = ~np.any(np.isfinite(logg), axis=-1)
         if np.any(dead):
             chains = np.flatnonzero(dead).tolist()
@@ -174,13 +170,14 @@ class SteinMcDrift:
             )
         p = softmax(logg, axis=-1)
         if self.form == "grad":
-            return beta * _weighted_sum(p, glog)
+            return beta * weighted_grad(p)
+        xi = self.pool.xi
         if self.pool.antithetic:
             # sum negation pairs first so a uniform-weight mean is exactly zero
             paired = p[..., 0::2, None] * xi[..., 0::2, :] + p[..., 1::2, None] * xi[..., 1::2, :]
             num = np.sum(paired, axis=-2)
         else:
-            num = _weighted_sum(p, xi)
+            num = weighted_sum(p, xi)
         return np.sqrt(beta / (1.0 - t)) * num
 
 
@@ -209,7 +206,7 @@ class QuadratureDrift:
         y = x[..., None, :] + np.sqrt(s) * self.nodes
         logits = self.log_wts + self.target.log_g_beta(beta, y)
         p = softmax(logits, axis=-1)
-        return np.sqrt(beta / (1.0 - t)) * _weighted_sum(p, self.nodes)
+        return np.sqrt(beta / (1.0 - t)) * weighted_sum(p, self.nodes)
 
 
 def make_drift(target: TargetSpec, beta, variant, pool=None, n_nodes=64):

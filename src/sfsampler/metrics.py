@@ -222,6 +222,20 @@ def _dyadic_level(h) -> int:
     return int(round(level))
 
 
+def _pair_up(carry, head, body):
+    """The pairwise sums of the steps carry, head, body (carry and head hold one step or
+    are None) as the coarser level's (head, body), and its unpaired last step, if any."""
+    lead = [part for part in (carry, head) if part is not None]
+    if len(lead) == 1 and body.shape[1]:
+        lead.append(body[:, :1])
+        body = body[:, 1:]
+    if len(lead) == 1:
+        return None, body, lead[0]
+    even = body.shape[1] // 2 * 2
+    spare = body[:, even:].copy() if even < body.shape[1] else None  # the chunk buffer is reused
+    return (lead[0] + lead[1] if lead else None), halve_increments(body[:, :even]), spare
+
+
 def strong_error_curve(
     target: TargetSpec, cfg: SfsConfig, h_list, ref_level, n_chains, root_seed, threads=1
 ) -> ConvergenceReport:
@@ -247,20 +261,21 @@ def strong_error_curve(
         streams = open_chains(ref_cfg, target.dim, root_seed, ids)
         drift_fn = make_drift(target, cfg.beta, cfg.drift, pool=streams.pool)
         out = dict.fromkeys([ref_level, *levels])  # each run's state after the chunks so far
-        spare = dict.fromkeys(range(coarsest, ref_level), np.empty((len(ids), 0, target.dim)))
-        for start, inc in increment_chunks(streams, ref_cfg.n_steps, target.dim):
+        done = dict.fromkeys(out, 0)                # and its steps so far
+        carry = dict.fromkeys(range(coarsest, ref_level))  # an unpaired finer increment
+        for _, inc in increment_chunks(streams, ref_cfg.n_steps, target.dim):
+            head = None  # at most one step in front of the chunk's body `inc`
             for level in range(ref_level, coarsest - 1, -1):
                 if level < ref_level:
-                    if spare[level].shape[1]:
-                        inc = np.concatenate([spare[level], inc], axis=1)
-                    even = inc.shape[1] // 2 * 2
-                    inc, spare[level] = halve_increments(inc[:, :even]), inc[:, even:].copy()
-                    if not even:
+                    head, inc, carry[level] = _pair_up(carry[level], head, inc)
+                    if head is None and not inc.shape[1]:
                         break
                 if level in out:
                     level_cfg = replace(cfg, n_steps=1 << level)
-                    first = start >> (ref_level - level)  # its steps before the chunk
-                    out[level] = sfs_run(drift_fn, level_cfg, inc, first, out[level])
+                    for part in (head, inc):
+                        if part is not None and part.shape[1]:
+                            out[level] = sfs_run(drift_fn, level_cfg, part, done[level], out[level])
+                            done[level] += part.shape[1]
         return np.array([np.sum((out[level] - out[ref_level]) ** 2) for level in levels])
 
     sq_sums = sum(map_blocks(block, n_chains, threads))

@@ -34,6 +34,11 @@ def softmax(w, axis=-1):
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
+def weighted_sum(p, v):
+    """sum_j p_j v_j over the pool axis: (..., M) weights and (..., M, d) vectors -> (..., d)."""
+    return (p[..., None, :] @ v)[..., 0, :]
+
+
 def gauss_hermite(n_nodes):
     """Nodes and weights for integrals against exp(-x^2) on the real line.
 

@@ -9,13 +9,14 @@ against N(0, beta I) used by the diffusion drift.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigError, GradientUnavailable
-from .numerics import SpdMatrix, log_sum_exp
+from .numerics import SpdMatrix, log_sum_exp, weighted_sum
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -182,6 +183,10 @@ class TargetSpec:
     def grad_potential(self, x):
         return grad_potential(self, x)
 
+    def pool_evaluator(self, beta, xi):
+        """The evaluator of log g_beta over a fixed pool xi; see PoolEvaluator."""
+        return (PoolEvaluator if self.mixture is None else MixturePoolEvaluator)(self, beta, xi)
+
 
 def _sq_norm(x):
     """||x||^2 over the last axis."""
@@ -191,6 +196,11 @@ def _sq_norm(x):
 def _floored(target: TargetSpec, base):
     """log((1 - rho) exp(base) + rho): the rho floor applied to a log density ratio."""
     return np.logaddexp(np.log1p(-target.rho) + base, np.log(target.rho))
+
+
+def _floor_factor(target: TargetSpec, base, logg):
+    """sigma = (1 - rho) g / g_rho, the factor the floor puts on grad log g; 0 where g underflows."""
+    return np.exp(np.log1p(-target.rho) + base - logg)
 
 
 def log_g_beta(target: TargetSpec, beta, x):
@@ -227,10 +237,127 @@ def log_g_and_grad(target: TargetSpec, beta, x):
     if target.rho == 0.0:
         return base, grad
     logg = _floored(target, base)
-    sigma = np.exp(np.log1p(-target.rho) + base - logg)
+    sigma = _floor_factor(target, base, logg)
     grad *= sigma[..., None]
     grad[sigma == 0.0] = 0.0
     return logg, grad
+
+
+class PoolEvaluator:
+    """log g_beta over a fixed noise pool, y_j = x + sqrt(s) xi_j, and the pool-weighted gradient.
+
+    Built once per pool xi, (M, d) or (B, M, d) for a stack of per-chain pools.
+    `log_g(x, s)` gives the (..., M) values; `log_g_and_grad(x, s)` gives them with a
+    function that maps (..., M) weights p to sum_j p_j grad_y log g_beta(y_j). This
+    default builds the points y and evaluates the target on them.
+    """
+
+    def __init__(self, target: TargetSpec, beta, xi):
+        self.target, self.beta, self.xi = target, _check_beta(beta), xi
+
+    def _points(self, x, s):
+        return x[..., None, :] + np.sqrt(s) * self.xi
+
+    def log_g(self, x, s):
+        return log_g_beta(self.target, self.beta, self._points(x, s))
+
+    def log_g_and_grad(self, x, s):
+        logg, grad = log_g_and_grad(self.target, self.beta, self._points(x, s))
+        return logg, lambda p: weighted_sum(p, grad)
+
+
+class MixturePoolEvaluator(PoolEvaluator):
+    """The pool evaluator of a Gaussian mixture, in the frame of the pool.
+
+    With P_i = Sigma_i^{-1}, r = sqrt(s) and b_i = P_i (x - alpha_i), every quantity is a
+    form in xi_j:
+        (y_j - alpha_i)^T P_i (y_j - alpha_i) = (x - alpha_i)^T b_i + 2 r xi_j.b_i + s xi_j^T P_i xi_j,
+        ||y_j||^2 = ||x||^2 + 2 r xi_j.x + s ||xi_j||^2.
+    The quadratic forms in xi_j are computed once per pool, so a step costs one batched
+    mat-vec over the pool. The gradient sum_j v_j grad log g(y_j), v_j = p_j sigma_j, is
+    linear in y_j once the posterior component weights pi_i(y_j) are known: with
+    w_ij = v_j pi_i(y_j), V = sum_j v_j and W_i = sum_j w_ij it is
+        (V x + r sum_j v_j xi_j) / beta - sum_i P_i (W_i (x - alpha_i) + r sum_j w_ij xi_j),
+    one more batched mat-vec. No (..., M, d) array is built per step.
+    """
+
+    def __init__(self, target: TargetSpec, beta, xi):
+        super().__init__(target, beta, xi)
+        gmm = self.gmm = target.mixture
+        k = gmm.n_components
+        # the forms' quadratic parts: -xi_j^T P_i xi_j / 2 per component, then ||xi_j||^2 / (2 beta)
+        quad = np.empty(xi.shape[:-2] + (k + 1, xi.shape[-2]))
+        for i in range(k):
+            z = xi if gmm.rotations is None else xi @ gmm.rotations[i]
+            quad[..., i, :] = -0.5 * _sq_norm(z * gmm._inv_sd[i])
+        quad[..., k, :] = _sq_norm(xi) / (2.0 * self.beta)
+        self.quad = quad
+        self.xi_t = np.swapaxes(xi, -1, -2)
+        self.log_coef = np.log(gmm.weights) - 0.5 * gmm._log_norms   # log theta_i / sqrt(det 2 pi Sigma_i)
+        inv_var = gmm._inv_sd**2
+        if gmm.rotations is None:
+            self.precision = inv_var                                  # (kappa, d) diagonals
+        else:
+            self.precision = np.einsum("kde,ke,kfe->kdf", gmm.rotations, inv_var, gmm.rotations)
+
+    def _times_precision(self, u):
+        """P_i u_i for (..., kappa, d) vectors u."""
+        if self.precision.ndim == 2:
+            return u * self.precision
+        return np.stack([u[..., i, :] @ p for i, p in enumerate(self.precision)], axis=-2)
+
+    def _evaluate(self, x, s):
+        """log g_beta over the pool, with the state the weighted gradient needs."""
+        x = np.asarray(x, dtype=float)
+        k, beta, r = self.gmm.n_components, self.beta, np.sqrt(s)
+        diff = x[..., None, :] - self.gmm.means                       # (..., kappa, d)
+        prec_diff = self._times_precision(diff)
+        # row i of forms: log theta_i N(y_j; alpha_i, Sigma_i); row kappa: ||y_j||^2 / (2 beta)
+        lin = np.concatenate([-r * prec_diff, (r / beta) * x[..., None, :]], axis=-2)
+        offset = np.concatenate(
+            [self.log_coef - 0.5 * np.einsum("...kd,...kd->...k", diff, prec_diff),
+             _sq_norm(x)[..., None] / (2.0 * beta)], axis=-1)
+        forms = lin @ self.xi_t                                       # (..., kappa + 1, M)
+        forms += offset[..., None]
+        for i in range(k + 1):  # row by row: no second (..., kappa + 1, M) temporary
+            forms[..., i, :] += s * self.quad[..., i, :]
+        # the components exponentiated in place against their top
+        comp = forms[..., :k, :]
+        top = np.max(comp, axis=-2)
+        top[~np.isfinite(top)] = 0.0
+        comp -= top[..., None, :]
+        np.exp(comp, out=comp)
+        total = np.sum(comp, axis=-2)
+        with np.errstate(divide="ignore"):
+            base = np.log(total)
+        base += top
+        base += forms[..., k, :]
+        if self.target.rho == 0.0:
+            return base, None, (x, r, diff, forms, total)
+        logg = _floored(self.target, base)
+        return logg, _floor_factor(self.target, base, logg), (x, r, diff, forms, total)
+
+    def log_g(self, x, s):
+        return self._evaluate(x, s)[0]
+
+    def log_g_and_grad(self, x, s):
+        logg, sigma, (x, r, diff, forms, total) = self._evaluate(x, s)
+        k = self.gmm.n_components
+
+        def weighted_grad(p):  # reuses the forms buffer, so call it once
+            v = p if sigma is None else p * sigma
+            # posterior component weights, 0 (not NaN) where the density underflows
+            forms[..., :k, :] *= (v / np.where(total > 0.0, total, 1.0))[..., None, :]
+            forms[..., k, :] = v
+            sums = np.sum(forms, axis=-1)                              # W_i, then V
+            pooled = forms @ self.xi                                   # (..., kappa + 1, d)
+            u = sums[..., :k, None] * diff + r * pooled[..., :k, :]
+            grad = sums[..., k, None] * x + r * pooled[..., k, :]
+            grad /= self.beta
+            grad -= np.sum(self._times_precision(u), axis=-2)
+            return grad
+
+        return logg, weighted_grad
 
 
 def grad_potential(target: TargetSpec, x):
@@ -249,30 +376,63 @@ def _check_beta(beta) -> float:
     return beta
 
 
+def _is_real(value) -> bool:
+    """A real number or a (nested) sequence of them: no bool, str or None anywhere."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iuf"
+    if isinstance(value, (list, tuple)):
+        return all(map(_is_real, value))
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _real_array(name, value) -> np.ndarray:
+    """A target parameter as a float array, naming it unless it holds only finite reals."""
+    if not _is_real(value):
+        raise ConfigError(f"target field '{name}': expected numbers, got {reprlib.repr(value)}")
+    try:
+        a = np.asarray(value, dtype=float)
+    except ValueError:
+        raise ConfigError(f"target field '{name}': ragged nesting in {reprlib.repr(value)}") from None
+    if not np.all(np.isfinite(a)):
+        raise ConfigError(f"target field '{name}': entries must be finite")
+    return a
+
+
+def _real(name, value) -> float:
+    """A scalar target parameter as a finite float, or a ConfigError naming it."""
+    a = _real_array(name, value)
+    if a.ndim:
+        raise ConfigError(f"target field '{name}': expected one number, got {reprlib.repr(value)}")
+    return float(a)
+
+
 def make_gaussian_mixture(weights, means, covs, rho=0.0) -> TargetSpec:
     """Build a Gaussian-mixture target; weights renormalized if off by <= 1e-9."""
-    weights = np.asarray(weights, dtype=float)
+    weights = _real_array("weights", weights)
     if weights.ndim != 1 or weights.size == 0:
-        raise ConfigError("weights must be a nonempty 1-D sequence")
+        raise ConfigError("target field 'weights': must be a nonempty 1-D sequence")
     if np.any(weights < 0):
-        raise ConfigError("weights must be nonnegative")
+        raise ConfigError("target field 'weights': must be nonnegative")
     total = float(weights.sum())
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise ConfigError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total}")
+        raise ConfigError(
+            f"target field 'weights': must sum to 1 within {WEIGHT_SUM_TOL}, got {total}"
+        )
     weights = weights / total
 
-    means = np.asarray(means, dtype=float)
+    means = _real_array("means", means)
     if means.ndim == 1:
         means = means[:, None]
-    if means.shape[0] != weights.shape[0]:
-        raise ConfigError("means and weights disagree on the component count")
+    if means.ndim != 2 or means.shape[0] != weights.shape[0]:
+        raise ConfigError("target field 'means': one mean per weight is needed")
     d = means.shape[1]
-    if len(covs) != weights.shape[0]:
-        raise ConfigError("covs and weights disagree on the component count")
-    spd = tuple(_as_spd(c, dim=d) for c in covs)
+    if not isinstance(covs, (list, tuple, np.ndarray)) or len(covs) != weights.shape[0]:
+        raise ConfigError("target field 'covs': one covariance per weight is needed")
+    spd = tuple(c if isinstance(c, SpdMatrix) else _as_spd(_real_array("covs", c), dim=d)
+                for c in covs)
     for c in spd:
         if c.dim != d:
-            raise ConfigError("covariance dimension does not match the means")
+            raise ConfigError("target field 'covs': covariance dimension does not match the means")
 
     weights.setflags(write=False)
     means.setflags(write=False)
@@ -290,15 +450,18 @@ def make_gaussian_mixture(weights, means, covs, rho=0.0) -> TargetSpec:
 
 def make_two_mode_gmm(d, separation=6.0, variance=0.25, weights=(0.5, 0.5), rho=0.0) -> TargetSpec:
     """Symmetric-mean two-component mixture with means +-separation * 1_d."""
-    if d < 1:
-        raise ConfigError("dimension must be >= 1")
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+        raise ConfigError(f"target field 'd': expected an integer >= 1, got {d!r}")
+    separation, variance = _real("separation", separation), _real("variance", variance)
+    if not variance > 0.0:
+        raise ConfigError(f"target field 'variance': must be positive, got {variance}")
     means = np.stack([-separation * np.ones(d), separation * np.ones(d)])
     covs = [variance * np.eye(d), variance * np.eye(d)]
     spec = make_gaussian_mixture(weights, means, covs, rho=rho)
     params = {
         "d": int(d),
-        "separation": float(separation),
-        "variance": float(variance),
+        "separation": separation,
+        "variance": variance,
         "weights": list(map(float, weights)),
     }
     return replace(spec, kind="two_mode_gmm", params=params)

@@ -87,6 +87,16 @@ class TestDriftCheck:
         assert f"field '{field}'" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("field, value", [("seed", "x"), ("M", "many"), ("antithetic", "no")])
+    def test_pool_field_named_for_the_exact_drift(self, tmp_path, capsys, field, value):
+        # the pool fields are checked whichever variant the input asks for
+        doc = {"target": PM2_TARGET, "x": [0.1], "t": 0.5, field: value}
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        assert main(["drift-check", "--input", str(path)]) == 2
+        assert f"field '{field}'" in capsys.readouterr().err
+
+
 class TestConfigHandling:
     def test_unknown_field_rejected(self, tmp_path):
         for extra in ({"stepsize": 0.1}, {"experiment": "sample"}):
@@ -140,6 +150,30 @@ class TestConfigHandling:
                            **{field: value})
         assert main(["sample", "--config", cfg]) == 2
         assert f"field '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [("gaussian_mixture", "weights", "ab"),
+         ("gaussian_mixture", "weights", [0.75, float("nan")]),
+         ("gaussian_mixture", "means", ["a", "b"]),
+         ("gaussian_mixture", "means", [[-2.0], [2.0, 1.0]]),
+         ("gaussian_mixture", "means", [float("nan"), 2.0]),
+         ("gaussian_mixture", "covs", [0.2, "x"]),
+         ("gaussian_mixture", "covs", [[[0.2, 0.0], [0.0]], 0.8]),
+         ("gaussian_mixture", "covs", [0.2, float("inf")]),
+         ("two_mode_gmm", "d", 2.5),
+         ("two_mode_gmm", "separation", "far"),
+         ("two_mode_gmm", "separation", float("nan")),
+         ("two_mode_gmm", "variance", float("inf"))],
+    )
+    def test_bad_target_parameter_named(self, tmp_path, capsys, kind, field, value):
+        # JSON NaN and Infinity included: they are config errors, not numerical failures
+        base = dict(PM2_TARGET) if kind == "gaussian_mixture" else {"kind": kind, "d": 2}
+        cfg = write_config(tmp_path, target={**base, field: value}, h=0.125,
+                           out=str(tmp_path / "o"))
+        assert main(["sample", "--config", cfg]) == 2
+        assert f"target field '{field}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])

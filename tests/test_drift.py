@@ -1,7 +1,11 @@
 """Tests for the drift evaluators: closed form, Monte Carlo pool, quadrature."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfsampler import (
     GmmExactDrift,
@@ -17,6 +21,8 @@ from sfsampler import (
     make_two_mode_gmm,
 )
 from sfsampler.errors import ConfigError, ZeroMassError
+from sfsampler.numerics import softmax
+from sfsampler.targets import MixturePoolEvaluator, PoolEvaluator
 
 SKEWED_BIMODAL_PM2 = dict(weights=[0.75, 0.25], means=[-2.0, 2.0], covs=[0.2, 0.8])
 
@@ -269,6 +275,118 @@ class TestSteinMcDrift:
         pool = make_noise_pool(8, 2, RngStream(0, 0))
         with pytest.raises(ConfigError):
             SteinMcDrift(t, 1.0, pool)(np.zeros(1), 0.5)
+
+
+def random_mixture(gen, kappa, d, full, rho):
+    means = gen.uniform(-4.0, 4.0, (kappa, d))
+    if full:
+        a = gen.standard_normal((kappa, d, d))
+        covs = [m @ m.T / d + 0.2 * np.eye(d) for m in a]
+        covs = [0.5 * (c + c.T) for c in covs]
+    else:
+        covs = list(gen.uniform(0.2, 2.0, (kappa, d)))
+    return make_gaussian_mixture(gen.dirichlet(np.ones(kappa)), means, covs, rho=rho)
+
+
+def stacked_pool(n_chains, M, d, seed=8, antithetic=False):
+    pools = [make_noise_pool(M, d, RngStream(seed, i), antithetic=antithetic) for i in range(n_chains)]
+    return NoisePool(xi=np.stack([p.xi for p in pools]), antithetic=antithetic)
+
+
+class TestPoolFrame:
+    """The mixture pool evaluator against the default one, which builds y = x + sqrt(s) xi."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        kappa=st.integers(1, 3),
+        d=st.integers(1, 6),
+        full=st.booleans(),
+        beta=st.floats(0.2, 5.0),
+        t=st.floats(0.0, 0.99),
+        rho=st.sampled_from([0.0, 0.1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_points(self, kappa, d, full, beta, t, rho, seed):
+        gen = np.random.default_rng(seed)
+        target = random_mixture(gen, kappa, d, full, rho)
+        xi = gen.standard_normal((4, 16, d))
+        x = gen.standard_normal((4, d)) * 3.0
+        s = (1.0 - t) * beta
+        frame, points = MixturePoolEvaluator(target, beta, xi), PoolEvaluator(target, beta, xi)
+        logg, weighted = frame.log_g_and_grad(x, s)
+        expect, expect_weighted = points.log_g_and_grad(x, s)
+        scale = np.maximum(np.max(np.abs(expect), axis=-1, keepdims=True), 1.0)
+        assert np.all(np.abs(logg - expect) <= 1e-9 * scale)
+        assert np.array_equal(frame.log_g(x, s), logg)
+        p = softmax(expect, axis=-1)
+        # relative to the largest gradient over the pool, which the weighted sum may cancel
+        _, grads = target.log_g_and_grad(beta, x[:, None, :] + np.sqrt(s) * xi)
+        scale = np.maximum(np.max(np.abs(grads), axis=(-2, -1))[:, None], 1.0)
+        assert np.all(np.abs(weighted(p) - expect_weighted(p)) <= 1e-9 * scale)
+
+    def test_mixtures_take_the_pool_frame_and_others_the_points(self):
+        xi = make_noise_pool(8, 2, RngStream(0, 0)).xi
+        mixture = make_two_mode_gmm(2, separation=3.0, variance=0.5)
+        ring = make_builtin("ring", r0=2.0, sigma=0.2)
+        assert type(mixture.pool_evaluator(1.0, xi)) is MixturePoolEvaluator
+        assert type(ring.pool_evaluator(1.0, xi)) is PoolEvaluator
+        assert type(SteinMcDrift(ring, 1.0, NoisePool(xi)).evaluator) is PoolEvaluator
+
+    @pytest.mark.parametrize("form", ["stein", "grad"])
+    def test_unstacked_pool_and_single_point(self, form):
+        # drift-check passes one (M, d) pool for one point or for many
+        target = make_gaussian_mixture(
+            [0.4, 0.6], [[-1.0, 0.5], [2.0, -0.5]],
+            [np.array([[1.0, 0.3], [0.3, 0.8]]), np.array([[0.5, -0.1], [-0.1, 1.2]])],
+        )
+        pool = make_noise_pool(64, 2, RngStream(4, 0))
+        frame = SteinMcDrift(target, 2.0, pool, form=form)
+        points = SteinMcDrift(target, 2.0, pool, form=form)
+        points.evaluator = PoolEvaluator(target, 2.0, pool.xi)
+        xs = np.random.default_rng(5).standard_normal((3, 2)) * 2.0
+        for x in (xs[0], xs):
+            got, expect = frame(x, 0.4), points(x, 0.4)
+            assert got.shape == expect.shape == x.shape
+            assert np.max(np.abs(got - expect)) < 1e-12
+
+    def test_zero_mass_chain_ids_unchanged(self):
+        target = make_two_mode_gmm(3, separation=3.0, variance=0.5)
+        pool = stacked_pool(5, 16, 3)
+        x = np.zeros((5, 3))
+        x[[1, 3]] = 1e160  # the component quadratic forms overflow
+        frame, points = SteinMcDrift(target, 1.0, pool), SteinMcDrift(target, 1.0, pool)
+        points.evaluator = PoolEvaluator(target, 1.0, pool.xi)
+        for drift in (frame, points):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(ZeroMassError) as err:
+                    drift(x, 0.5)
+            assert err.value.chains == [1, 3]
+
+    def test_floor_where_the_density_underflows(self):
+        # a mean of 1e200 overflows every component form: the floor's uniform weights give an
+        # antithetic Stein drift of exactly 0, and the gradient is 0 there, not NaN
+        target = make_gaussian_mixture([0.5, 0.5], [1e200, -1e200], [1.0, 1.0], rho=0.2)
+        pool = stacked_pool(3, 8, 1, antithetic=True)
+        x = np.array([[0.5], [-1.0], [2.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            stein = SteinMcDrift(target, 1.0, pool)(x, 0.3)
+            grad = SteinMcDrift(target, 1.0, pool, form="grad")(x, 0.3)
+        assert np.array_equal(stein, np.zeros((3, 1)))
+        assert np.array_equal(grad, np.zeros((3, 1)))
+
+    def test_grad_call_builds_no_pool_sized_array(self):
+        # one (B, M, d) array of pool points at B = 512, M = 200, d = 10 takes 8.2 MB
+        target = make_two_mode_gmm(10, separation=6.0, variance=0.25)
+        pool = stacked_pool(512, 200, 10)
+        drift = SteinMcDrift(target, 5.0, pool, form="grad")
+        x = np.random.default_rng(2).standard_normal((512, 10)) * 3.0
+        tracemalloc.start()
+        try:
+            drift(x, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestQuadratureDrift:

@@ -391,20 +391,27 @@ class TestChunkedIncrements:
         assert (chunked.value.step, chunked.value.t) == (whole.value.step, whole.value.t)
         assert chunked.value.chains == whole.value.chains
 
-    @pytest.mark.parametrize("coarsest", [3, 1])
-    def test_curve_memory_is_one_chunk(self, coarsest):
-        # one block's whole 2^10-step path at d = 10 would take 42 MB (84 MB with the
-        # halved levels held as well); chunks of whole 2^-1 steps would take 37 MB
-        target = make_two_mode_gmm(10, separation=3.0, variance=0.5)
+    @staticmethod
+    def curve_peak(coarsest, d):
+        target = make_two_mode_gmm(d, separation=3.0, variance=0.5)
         cfg = SfsConfig(n_steps=1, drift="gmm_exact")
         h_list = [2.0 ** -(coarsest + j) for j in range(3)]
         tracemalloc.start()
         try:
             strong_error_curve(target, cfg, h_list, 10, 512, 1)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    @pytest.mark.parametrize("coarsest, d", [(3, 10), (1, 10), (3, 9)], ids=["3", "1", "3-d9"])
+    def test_curve_memory_is_one_chunk(self, coarsest, d):
+        # one block's whole 2^10-step path at d = 10 would take 42 MB (84 MB with the
+        # halved levels held as well); chunks of whole 2^-1 steps would take 37 MB
+        peak = self.curve_peak(coarsest, d)
         assert peak < 30e6
+        if d == 9:
+            # the reference chunk is 227 steps long: its odd step is carried, not copied
+            assert peak < 1.1 * self.curve_peak(coarsest, 10)
 
     def test_noise_memory_is_one_chunk(self):
         # the whole path of 64 chains, 1000 steps, d = 100 would take 51 MB
