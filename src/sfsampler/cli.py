@@ -12,11 +12,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .drift import DRIFT_VARIANTS, make_drift, make_noise_pool
+from .drift import make_drift, make_noise_pool
 from .errors import ConfigError, DivergenceError, NumericalError, ZeroMassError
 from .metrics import (
     default_mode_radius,
@@ -36,6 +36,7 @@ from .output import (
 )
 from .rng import RngStream
 from .samplers import LangevinConfig, SfsConfig, run_ensemble
+from .schema import CONFIG_FILE, DRIFT_CHECK, DRIFT_VARIANTS, RUN, SAMPLERS, VARIANT, check
 from .targets import TargetSpec, target_from_dict
 
 EXIT_OK = 0
@@ -45,15 +46,11 @@ EXIT_GATE = 4
 
 DEFAULT_BAND = (0.85, 1.15)
 
-# integer fields: (inclusive lower bound, exclusive upper bound); seeds key a uint64 Philox stream
-INT_FIELDS = {"n_chains": (1, None), "seed": (0, 2**64), "threads": (1, None), "M": (2, None),
-              "ref_level": (None, None)}
-REAL_FIELDS = ("beta", "h", "gamma", "horizon")
-
 
 @dataclass
 class RunConfig:
-    """Fully resolved run configuration (file values overridden by flags)."""
+    """Fully resolved run configuration (file values overridden by flags); the type and
+    range of every field are in `schema.RUN`."""
 
     target: dict = field(default_factory=dict)
     sampler: str = "sfs"
@@ -77,31 +74,29 @@ class RunConfig:
     variants: list = field(default_factory=list)
     betas: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-
-def _read_json(fh, what):
+def _read_json(fh, what) -> dict:
     try:
-        return json.load(fh)
+        doc = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must hold a JSON object")
+    return doc
 
 
 def load_config(path=None, overrides=None) -> RunConfig:
-    """Merge a JSON config file with command-line overrides and validate."""
+    """Merge a JSON config file with command-line overrides and check the fields."""
     doc = {}
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError(f"config file '{path}' does not exist")
         with open(path) as fh:
             doc = _read_json(fh, f"config file '{path}'")
-        if not isinstance(doc, dict):
-            raise ConfigError("config root must be a JSON object")
-    known = {f.name for f in fields(RunConfig)} | {"target_file"}
-    for key in doc:
-        if key not in known:
-            raise ConfigError(f"unknown config field '{key}'")
+    for key, value in (overrides or {}).items():
+        if value is not None:
+            doc[key] = value
+    check(CONFIG_FILE, doc, "field")
     target_file = doc.pop("target_file", None)
     if target_file is not None:
         if "target" in doc:
@@ -110,61 +105,7 @@ def load_config(path=None, overrides=None) -> RunConfig:
             raise ConfigError(f"target_file '{target_file}' does not exist")
         with open(target_file) as fh:
             doc["target"] = _read_json(fh, f"field 'target_file': '{target_file}'")
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            doc[key] = value
-    cfg = RunConfig(**doc)
-    _validate(cfg)
-    return cfg
-
-
-def _check_int(name, value, low=None, high=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"field '{name}': expected an integer, got {value!r}")
-    if low is not None and value < low:
-        raise ConfigError(f"field '{name}': must be >= {low}, got {value}")
-    if high is not None and value >= high:
-        raise ConfigError(f"field '{name}': must be < {high}, got {value}")
-    return value
-
-
-def _is_number(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, (int, float))
-
-
-def _check_number(name, value) -> float:
-    if not _is_number(value):
-        raise ConfigError(f"field '{name}': expected a number, got {value!r}")
-    return float(value)
-
-
-def _check_bool(name, value) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"field '{name}': expected true or false, got {value!r}")
-    return value
-
-
-def _validate(cfg: RunConfig):
-    for name, (low, high) in INT_FIELDS.items():
-        _check_int(name, getattr(cfg, name), low, high)
-    for name in REAL_FIELDS:
-        _check_number(name, getattr(cfg, name))
-    for name in ("antithetic", "full"):
-        _check_bool(name, getattr(cfg, name))
-    if cfg.sampler not in ("sfs", "ula", "uld", "baoab"):
-        raise ConfigError(f"field 'sampler': unknown sampler '{cfg.sampler}'")
-    if cfg.drift not in ("auto",) + DRIFT_VARIANTS:
-        raise ConfigError(f"field 'drift': unknown drift variant '{cfg.drift}'")
-    if not (cfg.beta > 0):
-        raise ConfigError(f"field 'beta': must be positive, got {cfg.beta}")
-    if not (0 < cfg.h <= 1):
-        raise ConfigError(f"field 'h': must be in (0, 1], got {cfg.h}")
-    steps, band = cfg.h_list, cfg.band
-    if not (isinstance(steps, list) and all(_is_number(h) and 0 < h <= 1 for h in steps)):
-        raise ConfigError(f"field 'h_list': expected a list of steps in (0, 1], got {steps!r}")
-    if not (isinstance(band, list) and len(band) == 2 and all(map(_is_number, band))
-            and band[0] < band[1]):
-        raise ConfigError(f"field 'band': expected numbers [low, high], low < high, got {band!r}")
+    return RunConfig(**doc)
 
 
 def _build_target(cfg: RunConfig) -> TargetSpec:
@@ -260,24 +201,14 @@ def _compare_variants(cfg: RunConfig) -> list:
         source, docs = "betas", [{"sampler": "sfs", "beta": b} for b in cfg.betas]
     else:
         raise ConfigError("compare needs either 'variants' (>= 2) or a 'betas' list")
-    base = cfg.to_dict()
     variants = []
     for doc in docs:
-        if not isinstance(doc, dict):
-            raise ConfigError(f"field '{source}': each variant must be an object, got {doc!r}")
-        unknown = sorted(set(doc) - set(base) - {"label"})
-        if unknown:
-            raise ConfigError(f"field '{source}': unknown variant field(s) {unknown}")
-        sub = RunConfig(**{**base, **{k: v for k, v in doc.items() if k != "label"}})
-        _validate(sub)
-        label = doc.get("label")
-        if label is None:
-            label = f"{sub.sampler}_beta{sub.beta:g}"
-        if not isinstance(label, str) or not label or any(p in label for p in ("/", "\\", "..")):
-            raise ConfigError(
-                f"field '{source}': variant label {label!r} must be a nonempty file-name part "
-                "without '/', '\\' or '..'"
-            )
+        check(VARIANT, doc, f"field '{source}': field")
+        sub = replace(cfg, **{k: v for k, v in doc.items() if k != "label"})
+        label = doc.get("label", f"{sub.sampler}_beta{sub.beta:g}")
+        if any(p in label for p in ("/", "\\", "..")):
+            raise ConfigError(f"field '{source}': variant label {label!r} must be a file-name "
+                              "part without '/', '\\' or '..'")
         variants.append((label, sub))
     labels = [label for label, _ in variants]
     duplicates = sorted({label for label in labels if labels.count(label) > 1})
@@ -378,32 +309,22 @@ def cmd_drift_check(args) -> int:
             raise ConfigError(f"input file '{args.input}' does not exist")
         with open(args.input) as fh:
             doc = _read_json(fh, f"drift-check input '{args.input}'")
-    if not isinstance(doc, dict):
-        raise ConfigError("drift-check input must be a JSON object")
-    for key in ("target", "x", "t"):
-        if key not in doc:
-            raise ConfigError(f"drift-check input is missing '{key}'")
+    check(DRIFT_CHECK, doc, "field")
     target = target_from_dict(doc["target"])
-    beta = _check_number("beta", doc.get("beta", 1.0))
-    t = _check_number("t", doc["t"])
-    if not (0.0 <= t < 1.0):
-        raise ConfigError(f"field 't': must be in [0, 1), got {t}")
-    x = np.array(doc["x"], dtype=object)  # ragged lists give lists as elements
-    if x.ndim < 1 or x.shape[-1] != target.dim or not all(map(_is_number, x.flat)):
+    x = np.asarray(doc["x"], dtype=float)
+    if x.shape[-1] != target.dim:
         raise ConfigError(f"field 'x': expected points of dimension {target.dim}, got {doc['x']!r}")
-    seed = _check_int("seed", doc.get("seed", 42), *INT_FIELDS["seed"])
-    n_mc = _check_int("M", doc.get("M", 200), *INT_FIELDS["M"])
-    antithetic = _check_bool("antithetic", doc.get("antithetic", False))
     variant = doc.get("variant", "auto")
     if variant == "auto":
         variant = "gmm_exact" if target.mixture is not None else "stein_mc"
     pool = None
     if variant in ("stein_mc", "grad_mc"):
-        gen = RngStream(seed, 0).generator()
-        pool = make_noise_pool(n_mc, target.dim, gen, antithetic=antithetic)
-    n_nodes = _check_int("n_nodes", doc.get("n_nodes", 64))
-    drift_fn = make_drift(target, beta, variant, pool=pool, n_nodes=n_nodes)
-    value = drift_fn(x.astype(float), t)
+        gen = RngStream(doc.get("seed", 42), 0).generator()
+        pool = make_noise_pool(doc.get("M", 200), target.dim, gen,
+                               antithetic=doc.get("antithetic", False))
+    drift_fn = make_drift(target, doc.get("beta", 1.0), variant, pool=pool,
+                          n_nodes=doc.get("n_nodes", 64))
+    value = drift_fn(x, doc["t"])
     print(json.dumps({"drift": np.asarray(value).tolist(), "variant": variant}))
     return EXIT_OK
 
@@ -417,7 +338,7 @@ def _add_common(parser):
     parser.add_argument("--beta", type=float, help="temperature")
     parser.add_argument("--h", type=float, help="step size")
     parser.add_argument("--M", type=int, help="Monte Carlo pool size")
-    parser.add_argument("--sampler", choices=["sfs", "ula", "uld", "baoab"])
+    parser.add_argument("--sampler", choices=SAMPLERS)
     parser.add_argument("--drift", choices=["auto"] + list(DRIFT_VARIANTS))
     parser.add_argument("--full", action="store_true", default=None,
                         help="restore full-scale dimensions on supporting targets")
@@ -461,11 +382,7 @@ def main(argv=None) -> int:
             return cmd_w2(args)
         if args.command == "drift-check":
             return cmd_drift_check(args)
-        overrides = {
-            key: getattr(args, key, None)
-            for key in ("seed", "n_chains", "out", "threads", "beta", "h", "M",
-                        "sampler", "drift", "full", "ref_level")
-        }
+        overrides = {key: getattr(args, key, None) for key in RUN}  # the flags the verb has
         return _CONFIG_COMMANDS[args.command](load_config(args.config, overrides))
     except ConfigError as exc:
         print(f"ERROR[config] {exc}", file=sys.stderr)

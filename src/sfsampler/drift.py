@@ -16,9 +16,8 @@ import numpy as np
 from .errors import ConfigError, ZeroMassError
 from .numerics import gauss_hermite_normal, softmax, weighted_sum
 from .rng import _as_generator
-from .targets import GaussianMixture, TargetSpec
-
-DRIFT_VARIANTS = ("gmm_exact", "stein_mc", "grad_mc", "quadrature")
+from .schema import DRIFT_VARIANTS
+from .targets import GaussianMixture, TargetSpec, _check_beta
 
 
 def _check_t(t) -> float:
@@ -85,9 +84,7 @@ class GmmExactDrift:
         gmm = target.mixture if isinstance(target, TargetSpec) else target
         if not isinstance(gmm, GaussianMixture):
             raise ConfigError("exact drift requires a Gaussian-mixture target")
-        self.beta = float(beta)
-        if not (self.beta > 0 and np.isfinite(self.beta)):
-            raise ConfigError(f"beta must be positive and finite, got {beta}")
+        self.beta = _check_beta(beta)
         self.log_theta = np.log(gmm.weights)
         self.sig = gmm.eigvals                       # (kappa, d)
         self.alpha = gmm.rotated_means               # (kappa, d)
@@ -188,7 +185,7 @@ class QuadratureDrift:
         if target.dim > 2:
             raise ConfigError("quadrature drift supports d <= 2 only")
         self.target = target
-        self.beta = float(beta)
+        self.beta = _check_beta(beta)
         z, p = gauss_hermite_normal(n_nodes)
         if target.dim == 1:
             self.nodes = z[:, None]

@@ -21,7 +21,7 @@ import numpy as np
 from .drift import NoisePool, make_drift, make_noise_pool, stack_pools
 from .errors import ConfigError, DivergenceError, NumericalError, ZeroMassError
 from .rng import RngStream
-from .targets import TargetSpec, grad_potential
+from .targets import TargetSpec, _check_beta, grad_potential
 
 # chains per vectorized block; fixed so that the partition (and therefore the
 # arithmetic) never depends on the worker count
@@ -44,8 +44,7 @@ class SfsConfig:
     def __post_init__(self):
         if self.n_steps < 1:
             raise ConfigError(f"n_steps must be >= 1, got {self.n_steps}")
-        if not (self.beta > 0 and np.isfinite(self.beta)):
-            raise ConfigError(f"beta must be positive and finite, got {self.beta}")
+        _check_beta(self.beta)
 
     @property
     def h(self) -> float:
@@ -65,6 +64,9 @@ class LangevinConfig:
     draw_momentum: bool = False
 
     def __post_init__(self):
+        for name in ("step", "horizon", "gamma"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.step <= 0:
             raise ConfigError(f"step must be positive, got {self.step}")
         if self.method != "ula" and self.gamma <= 0:

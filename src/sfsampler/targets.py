@@ -9,7 +9,6 @@ against N(0, beta I) used by the diffusion drift.
 
 from __future__ import annotations
 
-import reprlib
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -17,20 +16,17 @@ import numpy as np
 
 from .errors import ConfigError, GradientUnavailable
 from .numerics import SpdMatrix, log_sum_exp, weighted_sum
+from .schema import TARGETS, check
 
 WEIGHT_SUM_TOL = 1e-9
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
 
-def _as_spd(cov, dim=None) -> SpdMatrix:
+def _as_spd(cov, dim) -> SpdMatrix:
     """Accept a scalar variance, a diagonal vector, or a full matrix."""
-    if isinstance(cov, SpdMatrix):
-        return cov
     a = np.asarray(cov, dtype=float)
     if a.ndim == 0:
-        if dim is None:
-            dim = 1
         a = np.eye(dim) * float(a)
     elif a.ndim == 1:
         a = np.diag(a)
@@ -118,29 +114,24 @@ class GaussianMixture:
     def potential(self, x):
         return -self.log_density(x)
 
-    def log_density_and_grad(self, x):
-        """log p(x) and grad V(x) = -grad log p(x), from one whitening per component.
+    def grad_potential(self, x):
+        """grad V(x) = -grad log p(x), from one whitening per component.
 
         grad V = sum_i p_i(x) Sigma_i^{-1} (x - alpha_i) with posterior weights p_i: each
         component's precision product is scaled in place and summed into the first.
         """
         x = np.asarray(x, dtype=float)
-        lead = x.shape[:-1]
         precision = []
         comp = self._log_components(x.reshape(-1, self.dim), precision)
         comp += np.log(self.weights)[:, None]
-        logp = log_sum_exp(comp, axis=0)
-        comp -= logp
+        comp -= log_sum_exp(comp, axis=0)
         np.exp(comp, out=comp)  # posterior weights p_i(x)
         g = precision[0]
         g *= comp[0][:, None]
         for i in range(1, self.n_components):
             precision[i] *= comp[i][:, None]
             g += precision[i]
-        return logp.reshape(lead), g.reshape(lead + (self.dim,))
-
-    def grad_potential(self, x):
-        return self.log_density_and_grad(x)[1]
+        return g.reshape(x.shape)
 
     def sample(self, n, gen):
         """n i.i.d. draws from the mixture."""
@@ -216,22 +207,16 @@ def log_g_beta(target: TargetSpec, beta, x):
 
 
 def log_g_and_grad(target: TargetSpec, beta, x):
-    """(log g_beta(x), grad_x log g_beta(x)) from one evaluation of the target.
+    """(log g_beta(x), grad_x log g_beta(x)): the potential composed with the analytic
+    gradient; a target without one raises GradientUnavailable.
 
-    Mixtures get log density and grad V from one whitening per component; other
-    targets compose the potential with the analytic gradient, and a target without
-    one raises GradientUnavailable. Under the rho floor the gradient is
-    sigma * grad(-V + ||x||^2 / (2 beta)) with sigma = (1 - rho) g / g_rho, which is
-    0 (not NaN) where g underflows.
+    Under the rho floor the gradient is sigma * grad(-V + ||x||^2 / (2 beta)) with
+    sigma = (1 - rho) g / g_rho, which is 0 (not NaN) where g underflows.
     """
     beta = _check_beta(beta)
     x = np.asarray(x, dtype=float)
-    if target.mixture is not None:
-        neg_v, grad_v = target.mixture.log_density_and_grad(x)
-    else:
-        grad_v = grad_potential(target, x)
-        neg_v = -target.potential(x)
-    base = neg_v + _sq_norm(x) / (2.0 * beta)
+    grad_v = grad_potential(target, x)
+    base = -target.potential(x) + _sq_norm(x) / (2.0 * beta)
     grad = x / beta
     grad -= grad_v
     if target.rho == 0.0:
@@ -376,100 +361,51 @@ def _check_beta(beta) -> float:
     return beta
 
 
-def _is_real(value) -> bool:
-    """A real number or a (nested) sequence of them: no bool, str or None anywhere."""
-    if isinstance(value, np.ndarray):
-        return value.dtype.kind in "iuf"
-    if isinstance(value, (list, tuple)):
-        return all(map(_is_real, value))
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-
-
-def _real_array(name, value) -> np.ndarray:
-    """A target parameter as a float array, naming it unless it holds only finite reals."""
-    if not _is_real(value):
-        raise ConfigError(f"target field '{name}': expected numbers, got {reprlib.repr(value)}")
-    try:
-        a = np.asarray(value, dtype=float)
-    except ValueError:
-        raise ConfigError(f"target field '{name}': ragged nesting in {reprlib.repr(value)}") from None
-    if not np.all(np.isfinite(a)):
-        raise ConfigError(f"target field '{name}': entries must be finite")
-    return a
-
-
-def _real(name, value) -> float:
-    """A scalar target parameter as a finite float, or a ConfigError naming it."""
-    a = _real_array(name, value)
-    if a.ndim:
-        raise ConfigError(f"target field '{name}': expected one number, got {reprlib.repr(value)}")
-    return float(a)
-
-
 def make_gaussian_mixture(weights, means, covs, rho=0.0) -> TargetSpec:
     """Build a Gaussian-mixture target; weights renormalized if off by <= 1e-9."""
-    weights = _real_array("weights", weights)
-    if weights.ndim != 1 or weights.size == 0:
-        raise ConfigError("target field 'weights': must be a nonempty 1-D sequence")
-    if np.any(weights < 0):
-        raise ConfigError("target field 'weights': must be nonnegative")
+    return make_builtin("gaussian_mixture", rho, weights=weights, means=means, covs=covs)
+
+
+def make_two_mode_gmm(d, **params) -> TargetSpec:
+    """Symmetric-mean two-component mixture with means +-separation * 1_d; the keywords
+    and their defaults are those of `_make_two_mode_gmm`, plus `rho`."""
+    return make_builtin("two_mode_gmm", d=d, **params)
+
+
+def _make_gaussian_mixture(weights, means, covs, rho):
+    """The mixture, given parameters that passed the table: the checks left tie fields together."""
+    weights = np.asarray(weights, dtype=float)
     total = float(weights.sum())
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise ConfigError(
-            f"target field 'weights': must sum to 1 within {WEIGHT_SUM_TOL}, got {total}"
-        )
+        raise ConfigError(f"target field 'weights': must sum to 1 within {WEIGHT_SUM_TOL}, got {total}")
     weights = weights / total
-
-    means = _real_array("means", means)
+    means = np.asarray(means, dtype=float)
     if means.ndim == 1:
         means = means[:, None]
-    if means.ndim != 2 or means.shape[0] != weights.shape[0]:
+    if means.shape[0] != weights.shape[0]:
         raise ConfigError("target field 'means': one mean per weight is needed")
     d = means.shape[1]
-    if not isinstance(covs, (list, tuple, np.ndarray)) or len(covs) != weights.shape[0]:
+    if len(covs) != weights.shape[0]:
         raise ConfigError("target field 'covs': one covariance per weight is needed")
-    spd = tuple(c if isinstance(c, SpdMatrix) else _as_spd(_real_array("covs", c), dim=d)
-                for c in covs)
-    for c in spd:
-        if c.dim != d:
-            raise ConfigError("target field 'covs': covariance dimension does not match the means")
-
+    spd = tuple(_as_spd(c, dim=d) for c in covs)
+    if any(c.dim != d for c in spd):
+        raise ConfigError("target field 'covs': covariance dimension does not match the means")
     weights.setflags(write=False)
     means.setflags(write=False)
     gmm = GaussianMixture(weights=weights, means=means, covs=spd)
-    return TargetSpec(
-        kind="gaussian_mixture",
-        dim=d,
-        potential=gmm.potential,
-        grad=gmm.grad_potential,
-        mixture=gmm,
-        params={},
-        rho=rho,
-    )
+    return TargetSpec("gaussian_mixture", d, gmm.potential, gmm.grad_potential, gmm, rho=rho)
 
 
-def make_two_mode_gmm(d, separation=6.0, variance=0.25, weights=(0.5, 0.5), rho=0.0) -> TargetSpec:
-    """Symmetric-mean two-component mixture with means +-separation * 1_d."""
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
-        raise ConfigError(f"target field 'd': expected an integer >= 1, got {d!r}")
-    separation, variance = _real("separation", separation), _real("variance", variance)
-    if not variance > 0.0:
-        raise ConfigError(f"target field 'variance': must be positive, got {variance}")
+def _make_two_mode_gmm(d, separation=6.0, variance=0.25, weights=(0.5, 0.5), rho=0.0):
     means = np.stack([-separation * np.ones(d), separation * np.ones(d)])
     covs = [variance * np.eye(d), variance * np.eye(d)]
-    spec = make_gaussian_mixture(weights, means, covs, rho=rho)
-    params = {
-        "d": int(d),
-        "separation": separation,
-        "variance": variance,
-        "weights": list(map(float, weights)),
-    }
-    return replace(spec, kind="two_mode_gmm", params=params)
+    params = {"d": int(d), "separation": float(separation), "variance": float(variance),
+              "weights": list(map(float, weights))}
+    return replace(_make_gaussian_mixture(weights, means, covs, rho), kind="two_mode_gmm",
+                   params=params)
 
 
 def _make_ring(r0=2.0, sigma=0.2):
-    if sigma <= 0:
-        raise ConfigError("ring sigma must be positive")
     r0 = float(r0)
     inv = 1.0 / (sigma * sigma)
 
@@ -486,8 +422,6 @@ def _make_ring(r0=2.0, sigma=0.2):
 
 
 def _make_funnel(alpha=0.6):
-    if alpha <= 0:
-        raise ConfigError("funnel alpha must be positive")
     alpha = float(alpha)
 
     def potential(x):
@@ -520,8 +454,6 @@ def _make_example64():
 def _make_bayes_ridge(y, sigma1=1.0, sigma2=1.0):
     # posterior of ridge regression with design X = I_d and n = d observations y
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if sigma1 <= 0 or sigma2 <= 0:
-        raise ConfigError("sigma1 and sigma2 must be positive")
     a, b = 1.0 / (sigma1 * sigma1), 1.0 / (sigma2 * sigma2)
 
     def potential(eta):
@@ -536,24 +468,23 @@ def _make_bayes_ridge(y, sigma1=1.0, sigma2=1.0):
 
 
 _SHAPED_2D = {"ring": _make_ring, "funnel": _make_funnel, "example64": _make_example64}
-BUILTIN_KINDS = ("gaussian_mixture", "two_mode_gmm", "ring", "funnel", "example64", "bayes_ridge")
+_MIXTURES = {"gaussian_mixture": _make_gaussian_mixture, "two_mode_gmm": _make_two_mode_gmm}
+BUILTIN_KINDS = tuple(TARGETS)
 
 
 def make_builtin(kind, rho=0.0, **params) -> TargetSpec:
-    """Construct a zoo target by name; see BUILTIN_KINDS."""
-    if kind == "gaussian_mixture":
-        return make_gaussian_mixture(rho=rho, **params)
-    if kind == "two_mode_gmm":
-        return make_two_mode_gmm(rho=rho, **params)
+    """Construct a zoo target by name (see BUILTIN_KINDS), its parameters checked against
+    `schema.TARGETS[kind]`."""
+    if kind not in BUILTIN_KINDS:
+        raise ConfigError(f"unknown target kind {kind!r} (known: {', '.join(BUILTIN_KINDS)})")
+    check(TARGETS[kind], {**params, "rho": rho}, "target field")
+    if kind in _MIXTURES:
+        return _MIXTURES[kind](rho=rho, **params)
     if kind in _SHAPED_2D:
         potential, grad = _SHAPED_2D[kind](**params)
         return TargetSpec(kind, 2, potential, grad, params=dict(params), rho=rho)
-    if kind == "bayes_ridge":
-        y, potential, grad = _make_bayes_ridge(**params)
-        p = dict(params)
-        p["y"] = y.tolist()
-        return TargetSpec("bayes_ridge", y.shape[0], potential, grad, params=p, rho=rho)
-    raise ConfigError(f"unknown target kind '{kind}' (known: {', '.join(BUILTIN_KINDS)})")
+    y, potential, grad = _make_bayes_ridge(**params)
+    return TargetSpec(kind, y.shape[0], potential, grad, params={**params, "y": y.tolist()}, rho=rho)
 
 
 def make_custom(potential, dim, grad=None, rho=0.0) -> TargetSpec:
@@ -566,15 +497,7 @@ def target_from_dict(doc: dict) -> TargetSpec:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ConfigError("target document must be an object with a 'kind' field")
     doc = dict(doc)
-    kind = doc.pop("kind")
-    if kind == "gaussian_mixture":
-        for key in ("weights", "means", "covs"):
-            if key not in doc:
-                raise ConfigError(f"gaussian_mixture target is missing '{key}'")
-    try:
-        return make_builtin(kind, **doc)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for target kind '{kind}': {exc}") from exc
+    return make_builtin(doc.pop("kind"), **doc)
 
 
 def target_to_dict(target: TargetSpec) -> dict:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -181,6 +182,43 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, target=PM2_TARGET, h=0.125, out=str(tmp_path / "o"))
         assert main(["sample", "--config", cfg, "--seed", seed]) == 2
         assert "field 'seed'" in capsys.readouterr().err
+
+
+NAN = float("nan")
+RUN = {"target": PM2_TARGET, "h": 0.125, "n_chains": 3, "out": "o"}
+DRIFT_AT = {"x": [0.1, 0.2], "t": 0.5}
+
+
+class TestInputTable:
+    @pytest.mark.parametrize(
+        "verb, doc, named",
+        [("drift-check", {"target": {"kind": "ring", "r0": "x"}, **DRIFT_AT}, "target field 'r0'"),
+         ("drift-check", {"target": {"kind": "ring", "r0": NAN}, **DRIFT_AT}, "target field 'r0'"),
+         ("drift-check", {"target": {"kind": "ring", "sigma": "x"}, **DRIFT_AT},
+          "target field 'sigma'"),
+         ("drift-check", {"target": {"kind": "bayes_ridge", "y": "abc"}, **DRIFT_AT},
+          "target field 'y'"),
+         ("drift-check", {"target": RING_TARGET, **DRIFT_AT, "beat": 5}, "field 'beat'"),
+         ("sample", {**RUN, "target": [1, 2]}, "field 'target'"),
+         ("sample", {**RUN, "target": {"kind": "funnel", "alpha": NAN}}, "target field 'alpha'"),
+         ("sample", {**RUN, "sampler": "ula", "horizon": NAN}, "field 'horizon'"),
+         ("sample", {**RUN, "sampler": "uld", "gamma": NAN}, "field 'gamma'"),
+         ("sample", {**RUN, "out": 5}, "field 'out'"),
+         ("compare", {**RUN, "variants": 5}, "field 'variants'"),
+         ("compare", {**RUN, "target": "ring", "betas": [1.0, 2.0]}, "field 'target'")],
+        ids=["ring-r0-text", "ring-r0-nan", "ring-sigma-text", "ridge-y-text", "unknown-field",
+             "target-list", "funnel-alpha-nan", "ula-horizon-nan", "uld-gamma-nan", "out-number",
+             "variants-number", "target-text"],
+    )
+    def test_malformed_input_exits_2_naming_the_field(self, tmp_path, monkeypatch, capsys,
+                                                      verb, doc, named):
+        # NaN is written as JSON NaN; nothing may be written, relative to any directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "in.json").write_text(json.dumps(doc))
+        flag = "--input" if verb == "drift-check" else "--config"
+        assert main([verb, flag, "in.json"]) == 2
+        assert named in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["in.json"]
 
 
 class TestSample:

@@ -238,6 +238,12 @@ class TestLangevinConfig:
         with pytest.raises(ConfigError):
             LangevinConfig(step=0.1, horizon=1.0, method="uld", gamma=0.0)
 
+    @pytest.mark.parametrize("name", ["step", "horizon", "gamma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_field_named(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            LangevinConfig(**{"step": 0.1, "horizon": 1.0, "method": "uld", name: value})
+
 
 class TestRunEnsemble:
     def test_single_chain_equals_direct_run(self):

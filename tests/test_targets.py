@@ -287,6 +287,26 @@ class TestSerialization:
         x = np.array([1.1, 0.7])
         assert t2.potential(x) == pytest.approx(t.potential(x))
 
+    @pytest.mark.parametrize(
+        "doc",
+        [{"kind": "gaussian_mixture", "weights": [0.75, 0.25], "means": [[-2.0, 0.0], [2.0, 1.0]],
+          "covs": [[[1.0, 0.3], [0.3, 0.8]], [0.5, 0.7]], "rho": 0.1},
+         {"kind": "two_mode_gmm", "d": 3, "separation": 2.0, "variance": 0.5},
+         {"kind": "ring", "r0": 2.0, "sigma": 0.3, "rho": 0.1},
+         {"kind": "funnel", "alpha": 0.5},
+         {"kind": "example64"},
+         {"kind": "bayes_ridge", "y": [0.5, -1.0, 2.0], "sigma1": 0.7}],
+        ids=lambda doc: doc["kind"],
+    )
+    def test_round_trip_every_builtin_kind(self, doc):
+        t = target_from_dict(doc)
+        again = target_to_dict(t)
+        t2 = target_from_dict(again)
+        assert target_to_dict(t2) == again
+        assert (t2.kind, t2.dim, t2.rho) == (doc["kind"], t.dim, doc.get("rho", 0.0))
+        x = np.random.default_rng(5).standard_normal((4, t.dim))
+        assert np.array_equal(t2.potential(x), t.potential(x))
+
     def test_missing_field_named_in_error(self):
         with pytest.raises(ConfigError, match="weights"):
             target_from_dict({"kind": "gaussian_mixture", "means": [0.0], "covs": [1.0]})
