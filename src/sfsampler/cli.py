@@ -36,7 +36,7 @@ from .output import (
 )
 from .rng import RngStream
 from .samplers import LangevinConfig, SfsConfig, run_ensemble
-from .schema import CONFIG_FILE, DRIFT_CHECK, DRIFT_VARIANTS, RUN, SAMPLERS, VARIANT, check
+from .schema import CONFIG_FILE, DRIFT_CHECK, DRIFT_VARIANTS, RUN, SAMPLERS, TARGETS, VARIANT, check
 from .targets import TargetSpec, target_from_dict
 
 EXIT_OK = 0
@@ -112,9 +112,16 @@ def _build_target(cfg: RunConfig) -> TargetSpec:
     if not cfg.target:
         raise ConfigError("field 'target': a target document is required")
     doc = dict(cfg.target)
-    full_d = doc.pop("full_d", None)
-    if cfg.full and full_d is not None:
-        doc["d"] = full_d
+    kind = doc.get("kind")
+    # the d of a full-scale run, checked like d whether or not --full is given; a bad kind
+    # is left for target_from_dict to name
+    if "full_d" in doc and isinstance(kind, str) and kind in TARGETS:
+        full_d = doc.pop("full_d")
+        if "d" not in TARGETS[kind]:
+            raise ConfigError(f"target field 'full_d': unknown for kind {kind!r}, which has no 'd'")
+        check({"full_d": TARGETS[kind]["d"]}, {"full_d": full_d}, "target field")
+        if cfg.full:
+            doc["d"] = full_d
     return target_from_dict(doc)
 
 
@@ -386,6 +393,9 @@ def main(argv=None) -> int:
         return _CONFIG_COMMANDS[args.command](load_config(args.config, overrides))
     except ConfigError as exc:
         print(f"ERROR[config] {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # an input that asks for more memory than there is
+        print(f"ERROR[config] out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"ERROR[{_NUMERICAL_TAGS.get(type(exc), 'numerical')}] {exc}", file=sys.stderr)

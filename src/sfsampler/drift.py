@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ZeroMassError
-from .numerics import gauss_hermite_normal, softmax, weighted_sum
+from .numerics import gauss_hermite_normal, rows_times, softmax, weighted_sum
 from .rng import _as_generator
 from .schema import DRIFT_VARIANTS
 from .targets import GaussianMixture, TargetSpec, _check_beta
@@ -68,16 +68,25 @@ def stack_pools(pools) -> NoisePool:
 
 
 class GmmExactDrift:
-    """Closed-form drift for Gaussian-mixture targets.
+    """Closed-form drift for Gaussian-mixture targets, computed component by component.
 
     The reference N(0, beta I) is isotropic, so in component i's eigenbasis
     (Sigma_i = Q_i diag(lambda_i) Q_i^T) the smoothed covariance
-    C_i(t) = Q_i (t lambda_i + s) Q_i^T, s = (1-t) beta, is diagonal. With
-    rotated coordinates x~ = Q_i^T x and alpha~ = Q_i^T alpha_i, the smoothed
-    component mean is u~ = (lambda_i x~ + s alpha~) / (t lambda_i + s) and the
-    drift is (sum_i p_i Q_i u~_i - x) / (1 - t), with log-domain weights p_i
-    built from theta_i, det C_i and the component quadratic forms. Both
-    rotations are skipped when every covariance is diagonal.
+    C_i(t) = Q_i diag(c_i) Q_i^T, c_i = t lambda_i + s, s = (1-t) beta, is diagonal. With
+    rotated coordinates x~ = Q_i^T x and alpha~ = Q_i^T alpha_i, the smoothed component mean
+    is u~_i = g_i x~ + h_i and the log weight of component i is
+        sum_d (a_i x~^2 + b_i x~) + k_i,
+    where g_i = lambda_i / c_i, h_i = s alpha~ / c_i, a_i = (lambda_i - beta) / (2 beta c_i),
+    b_i = alpha~ / c_i and k_i = log theta_i - sum_d (log c_i + t alpha~^2 / c_i) / 2. The
+    drift is (sum_i p_i Q_i u~_i - x) / (1 - t), p_i the softmax of the log weights.
+
+    The (kappa, d) coefficients depend on t alone and are built once per call. The log
+    weights form one (kappa, B) array, one row per component from elementwise work on
+    (B, d) arrays, and the softmax reduces over its first axis. With every covariance
+    diagonal (no rotations) the mean is x * sum_i p_i g_i + sum_i p_i h_i, accumulated in
+    component order; otherwise x~ for all components comes from one rotation and the
+    weighted u~_i are rotated back by another. No product runs across the chain axis, so a
+    chain's drift does not depend on how many chains share the call.
     """
 
     def __init__(self, target, beta):
@@ -85,10 +94,12 @@ class GmmExactDrift:
         if not isinstance(gmm, GaussianMixture):
             raise ConfigError("exact drift requires a Gaussian-mixture target")
         self.beta = _check_beta(beta)
-        self.log_theta = np.log(gmm.weights)
         self.sig = gmm.eigvals                       # (kappa, d)
-        self.alpha = gmm.rotated_means               # (kappa, d)
-        self.alpha_quad = np.sum(self.alpha**2 / self.sig, axis=-1)
+        alpha = gmm.rotated_means                    # (kappa, d)
+        self.log_theta = np.log(gmm.weights)
+        # divided by c they give a, b, g and alpha~^2 / c
+        self.numerators = np.stack([(self.sig - self.beta) / (2.0 * self.beta), alpha,
+                                    self.sig, alpha**2])
         self.diagonal = gmm.rotations is None
         if not self.diagonal:
             # x @ rot_in stacks x Q_i over components; w @ rot_in.T sums w_i Q_i^T
@@ -97,31 +108,40 @@ class GmmExactDrift:
     def __call__(self, x, t):
         t = _check_t(t)
         x = np.asarray(x, dtype=float)
-        beta = self.beta
-        s = (1.0 - t) * beta
-        # (..., kappa, d) intermediates
-        if self.diagonal:
-            xk = x[..., None, :]
-        else:
-            xk = (x @ self.rot_in).reshape(x.shape[:-1] + self.sig.shape)
+        kappa, d = self.sig.shape
+        s = (1.0 - t) * self.beta
+        # (kappa, d) coefficients of t alone
         c = t * self.sig + s
-        u = (self.sig * xk + s * self.alpha) / c
-        term = (
-            xk * xk * (self.sig - beta) / (2.0 * beta)
-            + xk * self.alpha
-            + 0.5 * s * self.alpha**2 / self.sig
-        ) / c
-        logw = (
-            self.log_theta
-            - 0.5 * np.sum(np.log(c), axis=-1)
-            + np.sum(term, axis=-1)
-            - 0.5 * self.alpha_quad
-        )
-        p = softmax(logw, axis=-1)
+        quad, lin, g, alpha_sq = self.numerators / c
+        h = s * lin
+        const = self.log_theta - 0.5 * np.sum(t * alpha_sq + np.log(c), axis=-1)
+        xf = x.reshape(-1, d)
         if self.diagonal:
-            return (np.sum(p[..., None] * u, axis=-2) - x) / (1.0 - t)
-        pu = (p[..., None] * u).reshape(x.shape[:-1] + (-1,))
-        return (pu @ self.rot_in.T - x) / (1.0 - t)
+            rotated = [xf] * kappa
+        else:
+            xr = rows_times(xf, self.rot_in).reshape(-1, kappa, d)
+            rotated = [xr[:, i] for i in range(kappa)]
+        logw = np.empty((kappa, xf.shape[0]))
+        for i, xt in enumerate(rotated):
+            v = quad[i] * xt
+            v += lin[i]
+            np.einsum("nd,nd->n", v, xt, out=logw[i])
+        logw += const[:, None]
+        p = softmax(logw, axis=0)
+        if self.diagonal:
+            gm, hm = p[0][:, None] * g[0], p[0][:, None] * h[0]
+            for i in range(1, kappa):
+                gm += p[i][:, None] * g[i]
+                hm += p[i][:, None] * h[i]
+            mean = xf * gm
+            mean += hm
+        else:
+            u = xr * g + h
+            u *= p.T[:, :, None]
+            mean = rows_times(u.reshape(-1, kappa * d), self.rot_in.T)
+        mean -= xf
+        mean /= 1.0 - t
+        return mean.reshape(x.shape)
 
 
 class SteinMcDrift:

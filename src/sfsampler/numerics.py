@@ -29,14 +29,24 @@ def softmax(w, axis=-1):
     """Stable softmax along `axis`. All-(-inf) slices produce NaN (caller checks)."""
     w = np.asarray(w, dtype=float)
     m = np.max(w, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
+    m[~np.isfinite(m)] = 0.0
     e = np.exp(w - m)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e /= np.sum(e, axis=axis, keepdims=True)
+    return e
 
 
 def weighted_sum(p, v):
     """sum_j p_j v_j over the pool axis: (..., M) weights and (..., M, d) vectors -> (..., d)."""
     return (p[..., None, :] @ v)[..., 0, :]
+
+
+def rows_times(x, m):
+    """x @ m for rows x (..., d) and a matrix m (d, e), each row computed on its own.
+
+    BLAS takes gemv for one row and gemm for several, and the two differ in the last bits;
+    this contraction has no such switch, so a row's bytes never depend on the rows beside it.
+    """
+    return np.einsum("...d,de->...e", x, m)
 
 
 def gauss_hermite(n_nodes):

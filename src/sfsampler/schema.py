@@ -130,7 +130,10 @@ RUN = {
     "betas": real("(0, inf)", (1, 1)),
 }
 CONFIG_FILE = {**RUN, "target_file": TEXT}
-VARIANT = {**RUN, "label": TEXT}
+# the fields a compare variant may change; the rest are the run's alone
+VARIANT = {"label": TEXT, **{name: RUN[name] for name in (
+    "sampler", "drift", "beta", "h", "M", "antithetic", "gamma", "horizon", "n_chains", "seed",
+    "threads")}}
 
 DRIFT_CHECK = {
     "target": required(OBJECT),

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, GradientUnavailable
-from .numerics import SpdMatrix, log_sum_exp, weighted_sum
+from .numerics import SpdMatrix, log_sum_exp, rows_times, weighted_sum
 from .schema import TARGETS, check
 
 WEIGHT_SUM_TOL = 1e-9
@@ -89,12 +89,12 @@ class GaussianMixture:
         for i in range(self.n_components):
             z = xf - self.means[i]
             if self.rotations is not None:
-                z = z @ self.rotations[i]
+                z = rows_times(z, self.rotations[i])
             z *= self._inv_sd[i]
             out[i] = np.einsum("nd,nd->n", z, z)
             if precision is not None:
                 z *= self._inv_sd[i]
-                precision.append(z if self.rotations is None else z @ self.rotations[i].T)
+                precision.append(z if self.rotations is None else rows_times(z, self.rotations[i].T))
         out += self._log_norms[:, None]
         out *= -0.5
         return out
@@ -273,6 +273,7 @@ class MixturePoolEvaluator(PoolEvaluator):
         # the forms' quadratic parts: -xi_j^T P_i xi_j / 2 per component, then ||xi_j||^2 / (2 beta)
         quad = np.empty(xi.shape[:-2] + (k + 1, xi.shape[-2]))
         for i in range(k):
+            # a BLAS product is safe here: every chain's pool has the same M >= 2 rows
             z = xi if gmm.rotations is None else xi @ gmm.rotations[i]
             quad[..., i, :] = -0.5 * _sq_norm(z * gmm._inv_sd[i])
         quad[..., k, :] = _sq_norm(xi) / (2.0 * self.beta)
@@ -289,7 +290,7 @@ class MixturePoolEvaluator(PoolEvaluator):
         """P_i u_i for (..., kappa, d) vectors u."""
         if self.precision.ndim == 2:
             return u * self.precision
-        return np.stack([u[..., i, :] @ p for i, p in enumerate(self.precision)], axis=-2)
+        return np.stack([rows_times(u[..., i, :], p) for i, p in enumerate(self.precision)], axis=-2)
 
     def _evaluate(self, x, s):
         """log g_beta over the pool, with the state the weighted gradient needs."""

@@ -98,6 +98,18 @@ class TestDriftCheck:
         assert f"field '{field}'" in capsys.readouterr().err
 
 
+    def test_input_beyond_memory_exits_2_without_traceback(self, tmp_path, capsys):
+        # d = 10^15 asks NumPy for 7.1 PiB for one mean, beyond any address space, so the
+        # allocation fails at once whatever the memory overcommit policy
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"target": {"kind": "two_mode_gmm", "d": 10**15},
+                                    "x": [0.1], "t": 0.5}))
+        assert main(["drift-check", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR[config] out of memory: Unable to allocate")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestConfigHandling:
     def test_unknown_field_rejected(self, tmp_path):
         for extra in ({"stepsize": 0.1}, {"experiment": "sample"}):
@@ -176,6 +188,29 @@ class TestConfigHandling:
         assert main(["sample", "--config", cfg]) == 2
         assert f"target field '{field}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("full", [[], ["--full"]], ids=["scaled", "full"])
+    @pytest.mark.parametrize("full_d", ["many", 0, 2.5, None])
+    def test_bad_full_d_named_with_or_without_full(self, tmp_path, capsys, full, full_d):
+        target = {"kind": "two_mode_gmm", "d": 1, "full_d": full_d}
+        cfg = write_config(tmp_path, target=target, h=0.125, out=str(tmp_path / "o"))
+        assert main(["sample", "--config", cfg, *full]) == 2
+        assert "target field 'full_d'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_full_d_unknown_for_a_kind_without_d(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, target={**RING_TARGET, "full_d": 3}, h=0.125,
+                           out=str(tmp_path / "o"))
+        assert main(["sample", "--config", cfg]) == 2
+        assert "target field 'full_d': unknown" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("full, d", [([], 1), (["--full"], 3)], ids=["scaled", "full"])
+    def test_full_d_taken_only_under_full(self, tmp_path, full, d):
+        out = tmp_path / "o"
+        target = {"kind": "two_mode_gmm", "d": 1, "full_d": 3}
+        cfg = write_config(tmp_path, target=target, h=0.125, n_chains=2, out=str(out))
+        assert main(["sample", "--config", cfg, *full]) == 0
+        assert json.loads((out / "meta.json").read_text())["dim"] == d
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_outside_uint64_named(self, tmp_path, capsys, seed):
@@ -497,6 +532,20 @@ class TestCompare:
                            variants=variants)
         assert main(["compare", "--config", cfg]) == 2
         assert "field 'variants'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("target", RING_TARGET), ("out", "elsewhere"), ("h_list", [0.5]), ("full", True),
+         ("variants", []), ("betas", [1.0]), ("band", [0.0, 2.0]), ("ref_level", 3)],
+    )
+    def test_variant_field_it_cannot_change_named(self, tmp_path, capsys, field, value):
+        out = tmp_path / "out"
+        variants = [{"label": "a", "beta": 1.0}, {"label": "b", "beta": 2.0, field: value}]
+        cfg = write_config(tmp_path, target=PM2_TARGET, h=0.0625, n_chains=8, out=str(out),
+                           variants=variants)
+        assert main(["compare", "--config", cfg]) == 2
+        assert f"field 'variants': field '{field}': unknown" in capsys.readouterr().err
         assert not out.exists()
 
     def test_single_variant_rejected(self, tmp_path):

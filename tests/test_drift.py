@@ -153,6 +153,84 @@ class TestGmmExactDrift:
             GmmExactDrift(ring, 1.0)(np.zeros(2), 0.5)
 
 
+def smoothed_mixture_drift(target, beta, x, t):
+    """The exact drift from its definition, one component at a time.
+
+    Under component i the smoothed mean of x is u_i = C_i^{-1} (Sigma_i x + s alpha_i),
+    C_i = t Sigma_i + s I, s = (1 - t) beta, and the drift is sum_i p_i (u_i - x) / (1 - t)
+    with u_i - x = s C_i^{-1} (Sigma_i x / beta + alpha_i - x), solved as such so that no
+    digits are lost near t = 1. The posterior weights p_i are the softmax of
+    log theta_i - log det C_i / 2 + alpha_i^T C_i^{-1} (x - t alpha_i) / 2 + x^T (u_i - x) / (2 s),
+    the log of the Gaussian integral of component i against N(x, s I) / N(0, beta I) less
+    its common factor exp(-|x|^2 / (2 s)). Returns the drift and the largest
+    per-component drift beta |C_i^{-1} (...)|, which the weighted sum may cancel.
+    """
+    gmm = target.mixture
+    s = (1.0 - t) * beta
+    logw, steps = [], []
+    for theta, alpha, cov in zip(gmm.weights, gmm.means, gmm.covs):
+        sigma = cov.entries
+        c = t * sigma + s * np.eye(target.dim)
+        step = np.linalg.solve(c, sigma @ x / beta + alpha - x)
+        c_alpha = np.linalg.solve(c, alpha)
+        logw.append(np.log(theta) - 0.5 * np.linalg.slogdet(c)[1]
+                    + 0.5 * (x - t * alpha) @ c_alpha + 0.5 * x @ step)
+        steps.append(beta * step)
+    p = softmax(np.array(logw))
+    return p @ np.array(steps), max(np.max(np.abs(step)) for step in steps)
+
+
+def five_d_mixture():
+    """Three correlated components in d = 5."""
+    def equicorrelated(rho, scale):
+        return scale * (np.full((5, 5), rho) + (1.0 - rho) * np.eye(5))
+
+    means = [[-4.0, 0, 0, 0, 0], [4.0, 2, 0, 0, 0], [0.0, -2, 4, 1, 0]]
+    covs = [equicorrelated(0.5, 0.6), equicorrelated(-0.2, 0.4),
+            np.diag([0.3, 0.5, 0.7, 0.9, 1.1]) + 0.2]
+    return make_gaussian_mixture([0.5, 0.3, 0.2], means, covs)
+
+
+class TestComponentMajorDrift:
+    """The exact drift against its definition, and its rows against the batch they share."""
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(
+        kappa=st.integers(1, 3),
+        d=st.integers(1, 6),
+        full=st.booleans(),
+        beta=st.floats(0.2, 5.0),
+        t=st.floats(0.0, 0.999),
+        scale=st.floats(0.0, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_smoothed_components(self, kappa, d, full, beta, t, scale, seed):
+        gen = np.random.default_rng(seed)
+        target = random_mixture(gen, kappa, d, full, 0.0)
+        x = gen.standard_normal((5, d)) * scale
+        got = GmmExactDrift(target, beta)(x, t)
+        for row, point in zip(got, x):
+            expect, largest = smoothed_mixture_drift(target, beta, point, t)
+            assert np.all(np.abs(row - expect) <= 1e-9 * max(largest, 1.0))
+
+    @pytest.mark.parametrize(
+        "target",
+        [make_gaussian_mixture([0.75, 0.25], [-6.0, 6.0], [0.2, 0.8]),
+         make_two_mode_gmm(10, separation=6.0, variance=0.25),
+         make_gaussian_mixture([1.0], [np.linspace(-2.0, 2.0, 100)], [np.geomspace(0.25, 4.0, 100)]),
+         five_d_mixture()],
+        ids=["bimodal_1d", "two_mode_d10", "gaussian_d100", "full_d5"],
+    )
+    def test_rows_do_not_depend_on_the_batch(self, target):
+        drift = GmmExactDrift(target, 1.0)
+        x = np.random.default_rng(3).standard_normal((600, target.dim)) * 3.0
+        for t in (0.0, 0.5, 0.99):
+            whole = drift(x, t)
+            for size in (1, 7, 88, 512, 513):
+                parts = [drift(x[lo : lo + size], t) for lo in range(0, 600, size)]
+                assert np.array_equal(np.concatenate(parts), whole)
+
+
 class TestSteinMcDrift:
     def test_antithetic_cancellation_constant_g(self):
         # reference-Gaussian target written so log g is bitwise zero: the

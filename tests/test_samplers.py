@@ -270,6 +270,23 @@ class TestRunEnsemble:
         large = run_ensemble(cfg, target, n_chains=20, root_seed=3)
         assert np.array_equal(large.samples[:10], small.samples)
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [SfsConfig(n_steps=8, beta=1.0, drift="gmm_exact"),
+         SfsConfig(n_steps=4, beta=1.0, drift="stein_mc", n_mc=16),
+         SfsConfig(n_steps=4, beta=1.0, drift="grad_mc", n_mc=16),
+         LangevinConfig(step=0.05, horizon=0.4, method="ula")],
+        ids=["gmm_exact", "stein_mc", "grad_mc", "ula"],
+    )
+    def test_full_covariance_prefix_at_every_block_size(self, cfg):
+        # 1 and 513 chains end in a one-chain block, whose rotations must match the others'
+        covs = [np.full((5, 5), 0.3) + 0.3 * np.eye(5), np.full((5, 5), -0.08) + 0.48 * np.eye(5)]
+        target = make_gaussian_mixture([0.6, 0.4], [[-4.0, 0, 0, 0, 0], [4.0, 2, 0, 0, 0]], covs)
+        large = run_ensemble(cfg, target, n_chains=600, root_seed=3).samples
+        for n in (1, 2, 7, 513):
+            small = run_ensemble(cfg, target, n_chains=n, root_seed=3).samples
+            assert np.array_equal(small, large[:n])
+
     def test_langevin_ensemble_runs(self):
         target = standard_gaussian_target()
         cfg = LangevinConfig(step=0.1, horizon=1.0, method="baoab")
