@@ -3,6 +3,7 @@ coupled strong-error curves and log-log slope fits."""
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -257,25 +258,28 @@ def strong_error_curve(
     coarsest = min(levels)
     ref_cfg = replace(cfg, n_steps=1 << ref_level)
 
-    def block(ids):  # the block's squared-error sum at each step of h_list
+    def block(ids, workers):  # the block's squared-error sum at each step of h_list
         streams = open_chains(ref_cfg, target.dim, root_seed, ids)
         drift_fn = make_drift(target, cfg.beta, cfg.drift, pool=streams.pool)
         out = dict.fromkeys([ref_level, *levels])  # each run's state after the chunks so far
         done = dict.fromkeys(out, 0)                # and its steps so far
         carry = dict.fromkeys(range(coarsest, ref_level))  # an unpaired finer increment
-        for _, inc in increment_chunks(streams, ref_cfg.n_steps, target.dim):
-            head = None  # at most one step in front of the chunk's body `inc`
-            for level in range(ref_level, coarsest - 1, -1):
-                if level < ref_level:
-                    head, inc, carry[level] = _pair_up(carry[level], head, inc)
-                    if head is None and not inc.shape[1]:
-                        break
-                if level in out:
-                    level_cfg = replace(cfg, n_steps=1 << level)
-                    for part in (head, inc):
-                        if part is not None and part.shape[1]:
-                            out[level] = sfs_run(drift_fn, level_cfg, part, done[level], out[level])
-                            done[level] += part.shape[1]
+        with closing(increment_chunks(streams, ref_cfg.n_steps, target.dim, workers)) as chunks:
+            for _, inc in chunks:
+                head = None  # at most one step in front of the chunk's body `inc`
+                for level in range(ref_level, coarsest - 1, -1):
+                    if level < ref_level:
+                        head, inc, carry[level] = _pair_up(carry[level], head, inc)
+                        if head is None and not inc.shape[1]:
+                            break
+                    if level in out:
+                        level_cfg = replace(cfg, n_steps=1 << level)
+                        for part in (head, inc):
+                            if part is not None and part.shape[1]:
+                                out[level] = sfs_run(
+                                    drift_fn, level_cfg, part, done[level], out[level]
+                                )
+                                done[level] += part.shape[1]
         return np.array([np.sum((out[level] - out[ref_level]) ** 2) for level in levels])
 
     sq_sums = sum(map_blocks(block, n_chains, threads))

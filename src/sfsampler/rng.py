@@ -10,7 +10,10 @@ momentum init (if any), then the noise pool (if any), then Brownian increments.
 same blocks (`samplers.map_blocks`) and time chunks for the ensemble runner and
 the convergence curve. Consecutive draws from one generator equal one whole
 draw, so results do not depend on the chunk size, and a Brownian ladder drawn
-after the same pool is the same path.
+after the same pool is the same path. A chunk's rows may be drawn by a helper
+thread as well as by the block's own: each row is still one draw from its
+chain's generator, and the chunks are drawn in order, so who draws a row never
+changes a result.
 """
 
 from __future__ import annotations

@@ -7,13 +7,20 @@ Langevin, and BAOAB splitting. Ensembles derive chain i's randomness from
 RngStream(root_seed, i), so results are independent of worker count and
 scheduling; each block draws and integrates its Brownian increments in time
 chunks of at most NOISE_CHUNK_BYTES, so results are independent of the chunk
-length too.
+length too. When a CPU is free, a helper thread draws the next chunk while the
+block integrates this one; every chain's rows are still one draw from its own
+generator, in chunk order, so who draws a row never changes a result.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field, replace
+from functools import partial
+from queue import SimpleQueue
+from threading import Condition, Thread
 from typing import Optional
 
 import numpy as np
@@ -26,9 +33,11 @@ from .targets import TargetSpec, _check_beta, grad_potential
 # chains per vectorized block; fixed so that the partition (and therefore the
 # arithmetic) never depends on the worker count
 ENSEMBLE_BLOCK = 512
-# bytes of Brownian increments held per block: a longer path is drawn and
-# integrated in time chunks, which never changes the result
-NOISE_CHUNK_BYTES = 8 * 2**20
+# bytes of Brownian increments per chunk buffer (a block holds two): a longer path
+# is drawn and integrated in time chunks, which never changes the result
+NOISE_CHUNK_BYTES = 4 * 2**20
+# rows of a chunk a thread takes at a time when drawing it: one lock and one scaling each
+ROW_RUN = 8
 
 
 @dataclass(frozen=True)
@@ -104,16 +113,18 @@ def _as_batch(increments, n_steps, start, what):
     return inc, single, range(start, start + k)
 
 
-def _check_finite(y, step, t):
-    bad = ~np.all(np.isfinite(y), axis=-1)
-    if np.any(bad):
-        chains = np.nonzero(bad)[0].tolist()
-        raise DivergenceError(
-            f"non-finite state at step {step} (t={t:g}) in chains {chains}",
-            step=step,
-            t=t,
-            chains=chains,
-        )
+def _check_finite(step, t, *states):
+    """Raise DivergenceError naming every chain with a non-finite entry in any state."""
+    if all(np.isfinite(s).all() for s in states):
+        return
+    bad = np.logical_or.reduce([~np.isfinite(s).all(axis=-1) for s in states])
+    chains = np.flatnonzero(bad).tolist()
+    raise DivergenceError(
+        f"non-finite state at step {step} (t={t:g}) in chains {chains}",
+        step=step,
+        t=t,
+        chains=chains,
+    )
 
 
 # Every integrator takes either the whole path (start=None) or one time chunk
@@ -137,8 +148,9 @@ def sfs_run(drift_fn, cfg: SfsConfig, increments, start=None, state=None):
     try:
         for j, n in enumerate(steps):
             f = drift_fn(y, n * h)
-            y = y + h * f + sqrt_beta * inc[:, j]
-            _check_finite(y, n, (n + 1) * h)
+            y += h * f  # y is this call's own copy; the drift's output is never written
+            y += sqrt_beta * inc[:, j]
+            _check_finite(n, (n + 1) * h, y)
     except ZeroMassError as exc:
         raise ZeroMassError(f"{exc} at step {n}", step=n, t=exc.t, chains=exc.chains) from None
     return y[0] if single else y
@@ -151,8 +163,9 @@ def ula_run(target: TargetSpec, cfg: LangevinConfig, increments, start=None, sta
     h = cfg.step
     x = _initial_state(cfg.x0 if state is None else state, n_chains, d)
     for j, n in enumerate(steps):
-        x = x - h * grad_potential(target, x) + np.sqrt(2.0) * inc[:, j]
-        _check_finite(x, n, (n + 1) * h)
+        x -= h * grad_potential(target, x)
+        x += np.sqrt(2.0) * inc[:, j]
+        _check_finite(n, (n + 1) * h, x)
     return x[0] if single else x
 
 
@@ -168,7 +181,7 @@ def uld_euler_run(target: TargetSpec, cfg: LangevinConfig, increments, start=Non
         x_new = x + h * m
         m = m - h * grad_potential(target, x) - h * gamma * m + np.sqrt(2.0 * gamma) * inc[:, j]
         x = x_new
-        _check_finite(np.concatenate([x, m], axis=-1), n, (n + 1) * h)
+        _check_finite(n, (n + 1) * h, x, m)
     return (x[0], m[0]) if single else (x, m)
 
 
@@ -191,7 +204,7 @@ def baoab_run(target: TargetSpec, cfg: LangevinConfig, gaussians, start=None, st
         m = c1 * m + c2 * xi[:, j]
         x = x + 0.5 * h * m
         m = m - 0.5 * h * grad_potential(target, x)
-        _check_finite(np.concatenate([x, m], axis=-1), n, (n + 1) * h)
+        _check_finite(n, (n + 1) * h, x, m)
     return (x[0], m[0]) if single else (x, m)
 
 
@@ -250,22 +263,127 @@ def open_chains(cfg, d, root_seed, chain_ids) -> ChainStreams:
     )
 
 
-def increment_chunks(streams: ChainStreams, n_steps, d):
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _ChunkRows:
+    """One chunk's rows, handed out in runs of ROW_RUN to whichever thread asks next.
+    A thread draws each row i of its run from chain i's generator, then scales the
+    run; `wait` returns once no run is being drawn."""
+
+    def __init__(self, streams: ChainStreams, chunk):
+        self.streams, self.chunk = streams, chunk
+        self.error = None
+        self._next = self._drawing = 0
+        self._cond = Condition()
+
+    def _take(self):
+        with self._cond:
+            lo = self._next
+            self._next = hi = min(lo + ROW_RUN, len(self.chunk))
+            self._drawing += hi > lo
+            return lo, hi
+
+    def _finish(self, error):
+        with self._cond:
+            self.error = self.error or error
+            self._drawing -= 1
+            if not self._drawing:
+                self._cond.notify_all()
+
+    def draw(self):
+        """Draw runs until no row is left."""
+        gens, chunk, scale = self.streams.gens, self.chunk, self.streams.scale
+        while True:
+            lo, hi = self._take()
+            if lo == hi:
+                return
+            try:
+                for i in range(lo, hi):
+                    gens[i].standard_normal(out=chunk[i])
+                chunk[lo:hi] *= scale
+            except BaseException as exc:
+                self._finish(exc)
+                raise
+            self._finish(None)
+
+    def wait(self):
+        """Wait for the runs other threads are drawing; raise what one of them raised."""
+        with self._cond:
+            self._cond.wait_for(lambda: not self._drawing)
+        if self.error is not None:
+            raise self.error
+
+    def stop(self):
+        """Hand out no more rows."""
+        with self._cond:
+            self._next = len(self.chunk)
+
+
+def _draw_jobs(jobs):
+    """A helper thread: draw rows of each chunk put on `jobs` until None arrives."""
+    while (rows := jobs.get()) is not None:
+        try:
+            rows.draw()
+        except Exception:  # draw kept it in rows.error, which the caller's wait raises
+            pass
+
+
+def increment_chunks(streams: ChainStreams, n_steps, d, workers=1):
     """Yield (start, chunk): every chain's increments for the global steps start, ...,
-    drawn into one reused (B, k, d) buffer, k the most steps (at least one) that fit
-    NOISE_CHUNK_BYTES."""
+    k at a time (fewer in the last chunk), k the most steps (at least one) that fit
+    NOISE_CHUNK_BYTES; a chunk stays valid until the next one is asked for.
+
+    The chunks alternate between the two halves of one (B, 2k, d) buffer. If the path
+    has more than one chunk and the process has more CPUs than `workers` (the block
+    workers running), one helper thread shares the draws: it starts on each chunk as
+    soon as the previous one is handed out, and asking for the chunk draws the rows the
+    helper has not reached and waits for its current run. Otherwise each generator call
+    fills a chain's row of both halves, two chunks at once. A chain's rows are one draw
+    from its generator, in chunk order, so the chunks never depend on who drew them or
+    how many were drawn at once. Close the generator to leave a path early: that stops
+    and joins the helper.
+    """
     b = len(streams.gens)
     k = min(n_steps, max(1, NOISE_CHUNK_BYTES // (b * d * 8)))
-    buf = np.empty((b, k, d))
-    for start in range(0, n_steps, k):
-        chunk = buf[:, : min(k, n_steps - start)]
-        for gen, rows in zip(streams.gens, chunk):
-            gen.standard_normal(out=rows)
-        chunk *= streams.scale
-        yield start, chunk
+    buf = np.empty((b, min(2 * k, n_steps), d))
+    jobs, helper = SimpleQueue(), None
+    if n_steps > k and usable_cpus() > workers:
+        helper = Thread(target=_draw_jobs, args=(jobs,), name="increment-chunks")
+        helper.start()
+    span = k if helper is not None else 2 * k  # steps drawn per generator call
+
+    def rows_from(start):  # the rows of steps start, ..., in their half (or whole) buffer
+        lo = start % (2 * k)
+        return _ChunkRows(streams, buf[:, lo : lo + min(span, n_steps - start)])
+
+    rows = rows_from(0)
+    if helper is not None:
+        jobs.put(rows)
+    try:
+        for start in range(0, n_steps, span):
+            rows.draw()
+            rows.wait()
+            drawn = rows.chunk
+            if start + span < n_steps:
+                rows = rows_from(start + span)
+                if helper is not None:
+                    jobs.put(rows)
+            for j in range(0, drawn.shape[1], k):
+                yield start + j, drawn[:, j : j + k]
+    finally:
+        if helper is not None:
+            rows.stop()
+            jobs.put(None)
+            helper.join()
 
 
-def _run_block(cfg, target, root_seed, chain_ids):
+def _run_block(cfg, target, root_seed, chain_ids, workers):
     """Terminal positions of one block, its increments drawn and integrated chunk by chunk."""
     streams = open_chains(cfg, target.dim, root_seed, chain_ids)
     if isinstance(cfg, SfsConfig):
@@ -277,8 +395,9 @@ def _run_block(cfg, target, root_seed, chain_ids):
         integrator = {"ula": ula_run, "uld": uld_euler_run, "baoab": baoab_run}[cfg.method]
         head = (target, cfg)
     state = None
-    for start, chunk in increment_chunks(streams, cfg.n_steps, target.dim):
-        state = integrator(*head, chunk, start, state)
+    with closing(increment_chunks(streams, cfg.n_steps, target.dim, workers)) as chunks:
+        for start, chunk in chunks:
+            state = integrator(*head, chunk, start, state)
     return state[0] if isinstance(state, tuple) else state
 
 
@@ -299,23 +418,25 @@ def _aggregate(failed):
 
 
 def map_blocks(fn, n_chains, threads=1) -> list:
-    """fn(ids) for each fixed ENSEMBLE_BLOCK of chain ids, in block order, on `threads`
-    workers, which never changes a result. A numerical failure in any block fails the
-    whole call, with the step, t and global chain ids of every failed block."""
+    """fn(ids, workers) for each fixed ENSEMBLE_BLOCK of chain ids, in block order, on
+    `workers` = min(threads, blocks, usable CPUs) workers, which never changes a result.
+    A numerical failure in any block fails the whole call, with the step, t and global
+    chain ids of every failed block."""
     if n_chains < 1:
         raise ConfigError(f"n_chains must be >= 1, got {n_chains}")
     ids = list(range(n_chains))
     blocks = [ids[lo : lo + ENSEMBLE_BLOCK] for lo in range(0, n_chains, ENSEMBLE_BLOCK)]
+    workers = max(1, min(threads, len(blocks), usable_cpus()))
 
     def task(ids):
         try:
-            return fn(ids), None
+            return fn(ids, workers), None
         except NumericalError as exc:
             exc.chains = [ids[c] for c in exc.chains]
             return None, exc
 
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(task, blocks))
     else:
         results = [task(ids) for ids in blocks]
@@ -328,7 +449,7 @@ def map_blocks(fn, n_chains, threads=1) -> list:
 
 def run_ensemble(cfg, target: TargetSpec, n_chains, root_seed, threads=1) -> SampleBatch:
     """Run n_chains chains through `map_blocks`; chain i draws from RngStream(root_seed, i)."""
-    blocks = map_blocks(lambda ids: _run_block(cfg, target, root_seed, ids), n_chains, threads)
+    blocks = map_blocks(partial(_run_block, cfg, target, root_seed), n_chains, threads)
     samples = np.concatenate(blocks, axis=0)
     meta = {
         "sampler": cfg.drift if isinstance(cfg, SfsConfig) else cfg.method,

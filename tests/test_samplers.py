@@ -1,6 +1,11 @@
 """Tests for the integrators and the deterministic ensemble runner."""
 
+import os
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from queue import SimpleQueue
 
 import numpy as np
 import pytest
@@ -23,6 +28,7 @@ from sfsampler import (
     uld_euler_run,
 )
 from sfsampler import metrics, samplers
+from sfsampler.drift import make_noise_pool
 from sfsampler.errors import ConfigError, DivergenceError, ZeroMassError
 from sfsampler.samplers import increment_chunks, open_chains
 
@@ -433,7 +439,7 @@ class TestChunkedIncrements:
         peak = self.curve_peak(coarsest, d)
         assert peak < 30e6
         if d == 9:
-            # the reference chunk is 227 steps long: its odd step is carried, not copied
+            # the reference chunk is 113 steps long: its odd step is carried, not copied
             assert peak < 1.1 * self.curve_peak(coarsest, 10)
 
     def test_noise_memory_is_one_chunk(self):
@@ -501,3 +507,192 @@ class TestChunkedIncrements:
             assert all(k > 0 for _, k in calls)
             assert [start for start, _ in calls] == [0, *ends[:-1]]
             assert ends[-1] == 2**level
+
+
+def serial_noise(cfg, d, root_seed, chain_ids):
+    """Each chain's whole path drawn in one call from RngStream(root_seed, i), after its
+    momentum or pool, without increment_chunks."""
+    if isinstance(cfg, SfsConfig):
+        scale = np.sqrt(cfg.h)
+    else:
+        scale = 1.0 if cfg.method == "baoab" else np.sqrt(cfg.step)
+    paths = []
+    for i in chain_ids:
+        gen = RngStream(root_seed, i).generator()
+        if isinstance(cfg, LangevinConfig) and cfg.draw_momentum:
+            gen.standard_normal(d)
+        if isinstance(cfg, SfsConfig) and cfg.drift in ("stein_mc", "grad_mc"):
+            make_noise_pool(cfg.n_mc, d, gen, antithetic=cfg.antithetic)
+        paths.append(gen.standard_normal((cfg.n_steps, d)) * scale)
+    return np.stack(paths)
+
+
+def pretend_cpus(monkeypatch, n):
+    """Make the process look as if it may run on n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def spy_helpers(monkeypatch):
+    """The helper threads increment_chunks starts from now on."""
+    started = []
+
+    class Spy(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(samplers, "Thread", Spy)
+    return started
+
+
+class TestSharedDraws:
+    """A helper thread draws the next chunk's rows while the block integrates this one."""
+
+    D100 = make_gaussian_mixture(
+        [1.0], [np.linspace(-2.0, 2.0, 100)], [np.geomspace(0.25, 4.0, 100)]
+    )
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("case", list(TestChunkedIncrements.CASES))
+    def test_chunks_equal_serial_draws(self, monkeypatch, case, cpus):
+        # with one CPU each generator call draws two chunks; with two a helper shares them
+        cfg, _ = TestChunkedIncrements.CASES[case]
+        target = make_two_mode_gmm(3, separation=4.0, variance=0.5)
+        pretend_cpus(monkeypatch, cpus)
+        chunk_steps(monkeypatch, 5, target.dim, 3)
+        helpers = spy_helpers(monkeypatch)
+        streams = open_chains(cfg, target.dim, 12, range(5))
+        chunks = [(start, c.copy()) for start, c in increment_chunks(streams, 20, target.dim)]
+        lengths = [(start, c.shape[1]) for start, c in chunks]
+        assert lengths == [(s, min(3, 20 - s)) for s in range(0, 20, 3)]
+        assert len(helpers) == cpus - 1
+        noise = np.concatenate([c for _, c in chunks], axis=1)
+        assert noise.tobytes() == serial_noise(cfg, target.dim, 12, range(5)).tobytes()
+
+    def test_default_chunks_at_d100_equal_serial_draws(self, monkeypatch):
+        # 64 chains at d = 100 take 81 steps per 4 MiB chunk: 200 steps are 3 chunks
+        cfg = SfsConfig(n_steps=200, drift="gmm_exact")
+        pretend_cpus(monkeypatch, 2)
+        helpers = spy_helpers(monkeypatch)
+        streams = open_chains(cfg, 100, 4, range(64))
+        chunks = [(start, c.copy()) for start, c in increment_chunks(streams, 200, 100)]
+        assert [(start, c.shape[1]) for start, c in chunks] == [(0, 81), (81, 81), (162, 38)]
+        assert len(helpers) == 1
+        serial = serial_noise(cfg, 100, 4, range(64))
+        assert np.concatenate([c for _, c in chunks], axis=1).tobytes() == serial.tobytes()
+        drift = make_drift(self.D100, cfg.beta, cfg.drift)
+        samples = run_ensemble(cfg, self.D100, 64, 4).samples
+        assert samples.tobytes() == sfs_run(drift, cfg, serial).tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_threads_and_prefixes_keep_bytes(self, monkeypatch, cpus):
+        # multi-chunk paths in every block of more than one chain; with 4 CPUs both
+        # block workers at threads=2 have a helper
+        target = make_two_mode_gmm(3, separation=4.0, variance=0.5)
+        cfg = SfsConfig(n_steps=20, beta=1.5, drift="grad_mc", n_mc=6)
+        pretend_cpus(monkeypatch, cpus)
+        chunk_steps(monkeypatch, 512, target.dim, 3)
+        helpers = spy_helpers(monkeypatch)
+        serial = serial_noise(cfg, target.dim, 2, range(600))
+        pool = open_chains(cfg, target.dim, 2, range(600)).pool
+        reference = sfs_run(make_drift(target, cfg.beta, cfg.drift, pool=pool), cfg, serial)
+        for threads in (1, 2):
+            samples = run_ensemble(cfg, target, 600, 2, threads=threads).samples
+            assert samples.tobytes() == reference.tobytes()
+        for n in (1, 513):
+            samples = run_ensemble(cfg, target, n, 2, threads=2).samples
+            assert samples.tobytes() == reference[:n].tobytes()
+        assert bool(helpers) == (cpus > 1)
+
+    def test_helpers_are_joined_after_a_run_and_a_divergence(self, monkeypatch):
+        runaway = make_custom(
+            lambda x: -np.sum(x**4, axis=-1), dim=1, grad=lambda x: -4.0 * x**3
+        )
+        cfg = LangevinConfig(step=0.5, horizon=5.0, method="ula", x0=np.array([3.0]))
+        pretend_cpus(monkeypatch, 2)
+        chunk_steps(monkeypatch, 8, 1, 2)  # five 2-step chunks
+        helpers = spy_helpers(monkeypatch)
+        before = threading.active_count()
+        run_ensemble(cfg, standard_gaussian_target(), n_chains=8, root_seed=0)
+        assert len(helpers) == 1 and threading.active_count() == before
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+            run_ensemble(cfg, runaway, n_chains=8, root_seed=0)
+        assert err.value.step < 8  # the path is left before its last chunk
+        assert not any(h.is_alive() for h in helpers)
+        assert threading.active_count() == before
+
+    def test_no_helper_without_a_free_cpu(self, monkeypatch):
+        target = self.D100
+        cfg = SfsConfig(n_steps=200, drift="gmm_exact")
+        helpers = spy_helpers(monkeypatch)
+        pretend_cpus(monkeypatch, 1)
+        one_cpu = run_ensemble(cfg, target, 64, 5).samples
+        assert helpers == []
+        pretend_cpus(monkeypatch, 2)
+        two_cpus = run_ensemble(cfg, target, 64, 5).samples
+        assert len(helpers) == 1
+        assert one_cpu.tobytes() == two_cpus.tobytes()
+
+    def test_single_chunk_path_starts_no_helper(self, monkeypatch):
+        pretend_cpus(monkeypatch, 2)
+        helpers = spy_helpers(monkeypatch)
+        run_ensemble(SfsConfig(n_steps=1000), standard_gaussian_target(), 512, 1)
+        assert helpers == []
+
+    def test_rows_shared_by_many_threads_are_drawn_once(self):
+        # more drawing threads than CPUs, started together and switching as often as
+        # the interpreter allows: a row handed out twice, or never, changes the bytes
+        cfg, n = SfsConfig(n_steps=3), 20000
+        streams = open_chains(cfg, 2, 6, range(n))
+        rows = samplers._ChunkRows(streams, np.empty((n, 3, 2)))
+        start = threading.Barrier(5)
+
+        def draw():
+            start.wait(timeout=30)
+            rows.draw()
+
+        threads = [threading.Thread(target=draw) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            draw()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        rows.wait()
+        assert rows.chunk.tobytes() == serial_noise(cfg, 2, 6, range(n)).tobytes()
+
+    def test_helper_error_reaches_the_caller(self):
+        class Failing:
+            def standard_normal(self, out):
+                raise RuntimeError("draw failed")
+
+        streams = open_chains(SfsConfig(n_steps=4), 1, 0, range(20))
+        streams.gens = [Failing()] * 20
+        rows = samplers._ChunkRows(streams, np.empty((20, 4, 1)))
+        jobs = SimpleQueue()
+        for job in (rows, None):
+            jobs.put(job)
+        samplers._draw_jobs(jobs)  # what the helper thread runs
+        with pytest.raises(RuntimeError, match="draw failed"):
+            rows.wait()
+
+    def test_map_blocks_workers_capped_at_usable_cpus(self, monkeypatch):
+        seen = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(samplers, "ThreadPoolExecutor", Recording)
+        workers = []
+        for cpus in (1, 2, 3):
+            pretend_cpus(monkeypatch, cpus)
+            samplers.map_blocks(lambda ids, w: workers.append(w), 3 * 512, threads=8)
+        assert seen == [2, 3]
+        assert workers == [1] * 3 + [2] * 3 + [3] * 3
