@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ZeroMassError
-from .numerics import gauss_hermite_normal, rows_times, softmax, weighted_sum
+from .numerics import gauss_hermite_normal, rows_times, shifted_points, softmax, weighted_sum
 from .rng import _as_generator
 from .schema import DRIFT_VARIANTS
 from .targets import GaussianMixture, TargetSpec, _check_beta
@@ -31,11 +31,18 @@ def _check_t(t) -> float:
 class NoisePool:
     """M standard-normal vectors drawn once per chain and reused at every step.
 
+    The vectors are rows: xi is (M, d), or (B, M, d) for a block of per-chain pools
+    drawn into one array (`draw_noise_pools`). The BLAS reductions over the pool (the
+    Stein sum, the mixture's per-pool forms and weighted gradient) read these rows: on
+    pool-axis-last storage BLAS takes another kernel, which sums in another order and
+    changes the samples' last bits. The default pool evaluator, which builds points,
+    keeps its own pool-axis-last copy (`PoolEvaluator.xi_t`).
+
     With antithetic=True the pool holds exact negation pairs (xi_{2j+1} =
     -xi_{2j}), so constant-weight averages cancel to exactly zero.
     """
 
-    xi: np.ndarray  # (M, d), or (B, M, d) for a stacked per-chain batch
+    xi: np.ndarray  # (M, d), or (B, M, d) for a block of per-chain pools
     antithetic: bool = False
 
     @property
@@ -43,28 +50,33 @@ class NoisePool:
         return self.xi.shape[-1]
 
 
-def make_noise_pool(M, d, rng, antithetic=False) -> NoisePool:
-    """Draw a pool of M standard-normal d-vectors from the given stream."""
+def draw_noise_pools(M, d, gens, antithetic=False) -> NoisePool:
+    """One pool of M standard-normal d-vectors per generator, drawn from each in turn
+    straight into one (B, M, d) array.
+
+    Each generator gives one (M, d) draw, or with antithetic=True one (M/2, d) draw for
+    the even rows, whose negations fill the odd rows.
+    """
     if M < 2:
         raise ConfigError(f"pool size M must be >= 2, got {M}")
     if antithetic and M % 2 != 0:
         raise ConfigError(f"antithetic pools need even M, got {M}")
-    gen = _as_generator(rng)
-    if antithetic:
-        half = gen.standard_normal((M // 2, d))
-        xi = np.empty((M, d))
-        xi[0::2] = half
-        xi[1::2] = -half
-    else:
-        xi = gen.standard_normal((M, d))
+    xi = np.empty((len(gens), M, d))
+    for gen, rows in zip(gens, xi):
+        if antithetic:
+            half = gen.standard_normal((M // 2, d))
+            rows[0::2] = half
+            np.negative(half, out=rows[1::2])
+        else:
+            gen.standard_normal(out=rows)
     xi.setflags(write=False)
     return NoisePool(xi=xi, antithetic=antithetic)
 
 
-def stack_pools(pools) -> NoisePool:
-    """Stack per-chain pools into one (B, M, d) pool for batched evaluation."""
-    xi = np.stack([p.xi for p in pools])
-    return NoisePool(xi=xi, antithetic=all(p.antithetic for p in pools))
+def make_noise_pool(M, d, rng, antithetic=False) -> NoisePool:
+    """Draw a pool of M standard-normal d-vectors from the given stream."""
+    block = draw_noise_pools(M, d, [_as_generator(rng)], antithetic)
+    return NoisePool(xi=block.xi[0], antithetic=antithetic)
 
 
 class GmmExactDrift:
@@ -188,18 +200,25 @@ class SteinMcDrift:
         p = softmax(logg, axis=-1)
         if self.form == "grad":
             return beta * weighted_grad(p)
-        xi = self.pool.xi
         if self.pool.antithetic:
-            # sum negation pairs first so a uniform-weight mean is exactly zero
-            paired = p[..., 0::2, None] * xi[..., 0::2, :] + p[..., 1::2, None] * xi[..., 1::2, :]
-            num = np.sum(paired, axis=-2)
+            # sum negation pairs first so a uniform-weight mean is exactly zero; both sums
+            # run along the pool axis of the evaluator's pool-axis-last copy
+            xi_t = self.evaluator.xi_t
+            paired = p[..., None, 0::2] * xi_t[..., 0::2]
+            paired += p[..., None, 1::2] * xi_t[..., 1::2]
+            num = np.sum(paired, axis=-1)
         else:
-            num = weighted_sum(p, xi)
+            num = weighted_sum(p, self.pool.xi)
         return np.sqrt(beta / (1.0 - t)) * num
 
 
 class QuadratureDrift:
-    """Deterministic tensorized Gauss-Hermite drift oracle for d <= 2."""
+    """Deterministic tensorized Gauss-Hermite drift oracle for d <= 2.
+
+    The n nodes are kept node-axis-last, (d, n): the points are built along the node axis
+    (`numerics.shifted_points`), the target gets their (..., n, d) view, and the weighted
+    sum runs along the node axis too.
+    """
 
     def __init__(self, target: TargetSpec, beta, n_nodes=64):
         if target.dim > 2:
@@ -208,11 +227,11 @@ class QuadratureDrift:
         self.beta = _check_beta(beta)
         z, p = gauss_hermite_normal(n_nodes)
         if target.dim == 1:
-            self.nodes = z[:, None]
+            self.nodes = z[None, :]
             self.log_wts = np.log(p)
         else:
             z1, z2 = np.meshgrid(z, z, indexing="ij")
-            self.nodes = np.stack([z1.ravel(), z2.ravel()], axis=-1)
+            self.nodes = np.stack([z1.ravel(), z2.ravel()])
             self.log_wts = (np.log(p)[:, None] + np.log(p)[None, :]).ravel()
 
     def __call__(self, x, t):
@@ -220,10 +239,10 @@ class QuadratureDrift:
         x = np.asarray(x, dtype=float)
         beta = self.beta
         s = (1.0 - t) * beta
-        y = x[..., None, :] + np.sqrt(s) * self.nodes
+        y = shifted_points(x, np.sqrt(s), self.nodes)
         logits = self.log_wts + self.target.log_g_beta(beta, y)
         p = softmax(logits, axis=-1)
-        return np.sqrt(beta / (1.0 - t)) * weighted_sum(p, self.nodes)
+        return np.sqrt(beta / (1.0 - t)) * (self.nodes @ p[..., :, None])[..., 0]
 
 
 def make_drift(target: TargetSpec, beta, variant, pool=None, n_nodes=64):

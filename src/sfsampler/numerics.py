@@ -40,6 +40,20 @@ def weighted_sum(p, v):
     return (p[..., None, :] @ v)[..., 0, :]
 
 
+def shifted_points(x, r, v_t):
+    """The points x + r v_j for (..., d) points x and vectors v_t stored pool-axis-last,
+    (..., d, M): the (..., M, d) view of a C-contiguous (..., d, M) array.
+
+    r v_j is written into the new array and x added in place, so both loops run along the
+    long M axis; a broadcast sum would run its inner loop over the short d axis.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.empty(np.broadcast_shapes(x.shape + (1,), v_t.shape))
+    np.multiply(v_t, r, out=y)
+    y += x[..., :, None]
+    return np.swapaxes(y, -1, -2)
+
+
 def rows_times(x, m):
     """x @ m for rows x (..., d) and a matrix m (d, e), each row computed on its own.
 

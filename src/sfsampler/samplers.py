@@ -14,6 +14,7 @@ generator, in chunk order, so who draws a row never changes a result.
 
 from __future__ import annotations
 
+import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
@@ -25,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .drift import NoisePool, make_drift, make_noise_pool, stack_pools
+from .drift import NoisePool, draw_noise_pools, make_drift
 from .errors import ConfigError, DivergenceError, NumericalError, ZeroMassError
 from .rng import RngStream
 from .targets import TargetSpec, _check_beta, grad_potential
@@ -238,29 +239,23 @@ class ChainStreams:
     gens: list
     scale: float                       # N(0, 1) draws times scale give one increment
     m0: Optional[np.ndarray] = None    # (B, d) initial momenta (Langevin draw_momentum)
-    pool: Optional[NoisePool] = None   # (B, M, d) stacked pools (Monte Carlo drifts)
+    pool: Optional[NoisePool] = None   # (B, M, d) block of pools (Monte Carlo drifts)
 
 
 def open_chains(cfg, d, root_seed, chain_ids) -> ChainStreams:
     """Open RngStream(root_seed, i) for each chain i and draw, in the documented order,
-    its momentum (if any) and its noise pool (if any); increments come next."""
+    its momentum (if any) and its noise pool (if any), the pools straight into the
+    block's one (B, M, d) array; increments come next."""
     if isinstance(cfg, SfsConfig):
         scale = np.sqrt(cfg.h)
         momentum, needs_pool = False, cfg.drift in ("stein_mc", "grad_mc")
     else:
         scale = 1.0 if cfg.method == "baoab" else np.sqrt(cfg.step)
         momentum, needs_pool = cfg.draw_momentum, False
-    gens, m0s, pools = [], [], []
-    for i in chain_ids:
-        gen = RngStream(root_seed, i).generator()
-        if momentum:
-            m0s.append(gen.standard_normal(d))
-        if needs_pool:
-            pools.append(make_noise_pool(cfg.n_mc, d, gen, antithetic=cfg.antithetic))
-        gens.append(gen)
-    return ChainStreams(
-        gens, scale, m0=np.stack(m0s) if m0s else None, pool=stack_pools(pools) if pools else None
-    )
+    gens = [RngStream(root_seed, i).generator() for i in chain_ids]
+    m0 = np.stack([gen.standard_normal(d) for gen in gens]) if momentum else None
+    pool = draw_noise_pools(cfg.n_mc, d, gens, cfg.antithetic) if needs_pool else None
+    return ChainStreams(gens, scale, m0=m0, pool=pool)
 
 
 def usable_cpus() -> int:
@@ -420,8 +415,9 @@ def _aggregate(failed):
 def map_blocks(fn, n_chains, threads=1) -> list:
     """fn(ids, workers) for each fixed ENSEMBLE_BLOCK of chain ids, in block order, on
     `workers` = min(threads, blocks, usable CPUs) workers, which never changes a result.
-    A numerical failure in any block fails the whole call, with the step, t and global
-    chain ids of every failed block."""
+    Each block runs in a copy of the caller's context, so a worker thread sees the
+    caller's `np.errstate`. A numerical failure in any block fails the whole call, with
+    the step, t and global chain ids of every failed block."""
     if n_chains < 1:
         raise ConfigError(f"n_chains must be >= 1, got {n_chains}")
     ids = list(range(n_chains))
@@ -437,7 +433,8 @@ def map_blocks(fn, n_chains, threads=1) -> list:
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, blocks))
+            futures = [pool.submit(contextvars.copy_context().run, task, ids) for ids in blocks]
+            results = [f.result() for f in futures]
     else:
         results = [task(ids) for ids in blocks]
 

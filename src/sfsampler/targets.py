@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, GradientUnavailable
-from .numerics import SpdMatrix, log_sum_exp, rows_times, weighted_sum
+from .numerics import SpdMatrix, log_sum_exp, rows_times, shifted_points, weighted_sum
 from .schema import TARGETS, check
 
 WEIGHT_SUM_TOL = 1e-9
@@ -231,17 +231,21 @@ def log_g_and_grad(target: TargetSpec, beta, x):
 class PoolEvaluator:
     """log g_beta over a fixed noise pool, y_j = x + sqrt(s) xi_j, and the pool-weighted gradient.
 
-    Built once per pool xi, (M, d) or (B, M, d) for a stack of per-chain pools.
+    Built once per pool xi, (M, d) or (B, M, d) for a block of per-chain pools.
     `log_g(x, s)` gives the (..., M) values; `log_g_and_grad(x, s)` gives them with a
     function that maps (..., M) weights p to sum_j p_j grad_y log g_beta(y_j). This
-    default builds the points y and evaluates the target on them.
+    default builds the points y and evaluates the target on them. It keeps the pool
+    pool-axis-last as well, xi_t a C-contiguous (..., d, M) copy, and builds the points
+    along the pool axis (`numerics.shifted_points`): the target gets their (..., M, d)
+    view, and no step broadcasts over the short d axis.
     """
 
     def __init__(self, target: TargetSpec, beta, xi):
         self.target, self.beta, self.xi = target, _check_beta(beta), xi
+        self.xi_t = np.ascontiguousarray(np.swapaxes(xi, -1, -2))
 
     def _points(self, x, s):
-        return x[..., None, :] + np.sqrt(s) * self.xi
+        return shifted_points(x, np.sqrt(s), self.xi_t)
 
     def log_g(self, x, s):
         return log_g_beta(self.target, self.beta, self._points(x, s))
@@ -263,11 +267,14 @@ class MixturePoolEvaluator(PoolEvaluator):
     linear in y_j once the posterior component weights pi_i(y_j) are known: with
     w_ij = v_j pi_i(y_j), V = sum_j v_j and W_i = sum_j w_ij it is
         (V x + r sum_j v_j xi_j) / beta - sum_i P_i (W_i (x - alpha_i) + r sum_j w_ij xi_j),
-    one more batched mat-vec. No (..., M, d) array is built per step.
+    one more batched mat-vec. No (..., M, d) array is built per step, so the evaluator
+    keeps no pool-axis-last copy: xi_t is the view of the rows xi, and both products read
+    the rows as stored.
     """
 
     def __init__(self, target: TargetSpec, beta, xi):
-        super().__init__(target, beta, xi)
+        self.target, self.beta, self.xi = target, _check_beta(beta), xi
+        self.xi_t = np.swapaxes(xi, -1, -2)
         gmm = self.gmm = target.mixture
         k = gmm.n_components
         # the forms' quadratic parts: -xi_j^T P_i xi_j / 2 per component, then ||xi_j||^2 / (2 beta)
@@ -278,7 +285,6 @@ class MixturePoolEvaluator(PoolEvaluator):
             quad[..., i, :] = -0.5 * _sq_norm(z * gmm._inv_sd[i])
         quad[..., k, :] = _sq_norm(xi) / (2.0 * self.beta)
         self.quad = quad
-        self.xi_t = np.swapaxes(xi, -1, -2)
         self.log_coef = np.log(gmm.weights) - 0.5 * gmm._log_norms   # log theta_i / sqrt(det 2 pi Sigma_i)
         inv_var = gmm._inv_sd**2
         if gmm.rotations is None:

@@ -22,7 +22,7 @@ from sfsampler import (
 )
 from sfsampler.errors import ConfigError, ZeroMassError
 from sfsampler.numerics import softmax
-from sfsampler.targets import MixturePoolEvaluator, PoolEvaluator
+from sfsampler.targets import MixturePoolEvaluator, PoolEvaluator, log_g_and_grad, log_g_beta
 
 SKEWED_BIMODAL_PM2 = dict(weights=[0.75, 0.25], means=[-2.0, 2.0], covs=[0.2, 0.8])
 
@@ -465,6 +465,85 @@ class TestPoolFrame:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+def row_points(x, r, xi):
+    """The points x + r xi_j built the plain way, as a C-contiguous (B, M, d) array."""
+    return np.ascontiguousarray(x[:, None, :] + r * xi)
+
+
+class TestPoolLayout:
+    """The pool-axis-last points and sums against a reference from contiguous (B, M, d) points."""
+
+    RING = make_builtin("ring", r0=2.0, sigma=0.2)
+    FUNNEL = make_builtin("funnel", alpha=0.6)
+
+    @staticmethod
+    def reference(target, beta, xi, x, t, form, antithetic):
+        s = (1.0 - t) * beta
+        y = row_points(x, np.sqrt(s), xi)
+        if form == "grad":
+            logg, grad = log_g_and_grad(target, beta, y)
+        else:
+            logg = log_g_beta(target, beta, y)
+        p = softmax(logg, axis=-1)
+        if form == "grad":
+            return beta * np.einsum("bm,bmd->bd", p, grad)
+        if antithetic:
+            paired = p[:, 0::2, None] * xi[:, 0::2] + p[:, 1::2, None] * xi[:, 1::2]
+            return np.sqrt(beta / (1.0 - t)) * paired.sum(axis=1)
+        return np.sqrt(beta / (1.0 - t)) * np.einsum("bm,bmd->bd", p, xi)
+
+    @pytest.mark.parametrize("form, antithetic", [("stein", False), ("stein", True), ("grad", False)])
+    @pytest.mark.parametrize("kind", ["ring", "funnel"])
+    def test_mc_drift_matches_row_points(self, kind, form, antithetic):
+        target = self.RING if kind == "ring" else self.FUNNEL
+        pool = stacked_pool(64, 40, 2, antithetic=antithetic)
+        drift = SteinMcDrift(target, 1.0, pool, form=form)
+        x = np.random.default_rng(3).standard_normal((64, 2)) * 1.5
+        for t in (0.0, 0.5, 0.9):
+            got = drift(x, t)
+            expect = self.reference(target, 1.0, pool.xi, x, t, form, antithetic)
+            assert np.all(np.abs(got - expect) <= 1e-12 * np.maximum(np.abs(expect), 1.0))
+
+    @pytest.mark.parametrize("kind", ["ring", "funnel"])
+    def test_plain_stein_keeps_the_bytes_of_row_points(self, kind):
+        # the points are the same sums in the same order, and the Stein sum reads the rows
+        target = self.RING if kind == "ring" else self.FUNNEL
+        pool = stacked_pool(64, 40, 2)
+        x = np.random.default_rng(4).standard_normal((64, 2))
+        beta, t = 1.0, 0.3
+        s = (1.0 - t) * beta
+        p = softmax(log_g_beta(target, beta, x[:, None, :] + np.sqrt(s) * pool.xi), axis=-1)
+        expect = np.sqrt(beta / (1.0 - t)) * (p[:, None, :] @ pool.xi)[:, 0, :]
+        assert SteinMcDrift(target, beta, pool)(x, t).tobytes() == expect.tobytes()
+
+    def test_points_are_the_view_of_a_pool_axis_last_array(self):
+        pool = stacked_pool(8, 16, 3)
+        evaluator = PoolEvaluator(self.RING, 1.0, pool.xi)
+        assert evaluator.xi_t.shape == (8, 3, 16) and evaluator.xi_t.flags.c_contiguous
+        x = np.random.default_rng(5).standard_normal((8, 3))
+        y = evaluator._points(x, 0.7)
+        assert y.shape == (8, 16, 3) and np.swapaxes(y, -1, -2).flags.c_contiguous
+        assert y.tobytes() == row_points(x, np.sqrt(0.7), pool.xi).tobytes()
+
+    def test_quadrature_matches_row_points(self):
+        from sfsampler.numerics import gauss_hermite_normal
+
+        beta, n = 1.0, 32
+        z, w = gauss_hermite_normal(n)
+        z1, z2 = np.meshgrid(z, z, indexing="ij")
+        nodes = np.stack([z1.ravel(), z2.ravel()], axis=-1)            # (n^2, 2) rows
+        log_wts = (np.log(w)[:, None] + np.log(w)[None, :]).ravel()
+        drift = QuadratureDrift(self.RING, beta, n_nodes=n)
+        x = np.random.default_rng(6).standard_normal((16, 2)) * 1.5
+        for t in (0.0, 0.5, 0.9):
+            s = (1.0 - t) * beta
+            y = row_points(x, np.sqrt(s), np.broadcast_to(nodes, (16,) + nodes.shape))
+            p = softmax(log_wts + log_g_beta(self.RING, beta, y), axis=-1)
+            expect = np.sqrt(beta / (1.0 - t)) * np.einsum("bm,md->bd", p, nodes)
+            got = drift(x, t)
+            assert np.all(np.abs(got - expect) <= 1e-12 * np.maximum(np.abs(expect), 1.0))
 
 
 class TestQuadratureDrift:

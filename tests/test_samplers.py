@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from queue import SimpleQueue
 
@@ -17,6 +18,7 @@ from sfsampler import (
     SfsConfig,
     baoab_run,
     brownian_ladder_make,
+    make_builtin,
     make_custom,
     make_drift,
     make_gaussian_mixture,
@@ -509,6 +511,52 @@ class TestChunkedIncrements:
             assert ends[-1] == 2**level
 
 
+class TestPoolBlock:
+    """open_chains draws every chain's pool straight into one block array."""
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 10])
+    def test_block_pool_equals_per_chain_pools(self, d, antithetic):
+        cfg = SfsConfig(n_steps=3, drift="stein_mc", n_mc=8, antithetic=antithetic)
+        streams = open_chains(cfg, d, 14, range(5))
+        per_chain = np.stack([make_noise_pool(8, d, RngStream(14, i), antithetic).xi for i in range(5)])
+        # the protocol spelled out: one (M, d) draw, or (M/2, d) for the even rows
+        expect = []
+        for i in range(5):
+            gen = RngStream(14, i).generator()
+            if antithetic:
+                half = gen.standard_normal((4, d))
+                expect.append(np.stack([half, -half], axis=1).reshape(8, d))
+            else:
+                expect.append(gen.standard_normal((8, d)))
+        assert streams.pool.xi.shape == (5, 8, d) and streams.pool.antithetic == antithetic
+        assert streams.pool.xi.tobytes() == per_chain.tobytes() == np.stack(expect).tobytes()
+        # each generator then stands at its chain's first increment
+        increments = next(increment_chunks(streams, 3, d))[1]
+        assert increments.tobytes() == serial_noise(cfg, d, 14, range(5)).tobytes()
+
+    def test_open_chains_holds_one_block_pool(self):
+        # one (512, 200, 10) pool takes 8.2 MB; per-chain pools stacked into a copy took twice that
+        cfg = SfsConfig(n_steps=10, drift="grad_mc", n_mc=200)
+        open_chains(cfg, 10, 3, range(512))
+        tracemalloc.start()
+        try:
+            streams = open_chains(cfg, 10, 3, range(512))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert streams.pool.xi.nbytes == 512 * 200 * 10 * 8
+        assert peak < 1.5 * streams.pool.xi.nbytes
+
+    @pytest.mark.parametrize("kind, drift", [("ring", "stein_mc"), ("funnel", "grad_mc")])
+    def test_prefixes_keep_bytes(self, kind, drift):
+        target = make_builtin(kind)
+        cfg = SfsConfig(n_steps=8, drift=drift, n_mc=32)
+        reference = run_ensemble(cfg, target, 600, 9).samples
+        for n in (1, 7, 513):
+            assert run_ensemble(cfg, target, n, 9).samples.tobytes() == reference[:n].tobytes()
+
+
 def serial_noise(cfg, d, root_seed, chain_ids):
     """Each chain's whole path drawn in one call from RngStream(root_seed, i), after its
     momentum or pool, without increment_chunks."""
@@ -680,6 +728,22 @@ class TestSharedDraws:
         samplers._draw_jobs(jobs)  # what the helper thread runs
         with pytest.raises(RuntimeError, match="draw failed"):
             rows.wait()
+
+    def test_workers_keep_the_callers_errstate(self, monkeypatch):
+        # ULA at step 5 diverges on the ring, and 1030 chains make three blocks; the
+        # caller silences the overflow met on the way, and so must every block worker
+        ring = make_builtin("ring", r0=2.0, sigma=0.2)
+        cfg = LangevinConfig(step=5.0, horizon=500.0, method="ula")
+        pretend_cpus(monkeypatch, 2)
+        failures = {}
+        for threads in (1, 2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+                    run_ensemble(cfg, ring, 1030, 0, threads=threads)
+            assert [str(w.message) for w in caught] == []
+            failures[threads] = (err.value.step, err.value.chains)
+        assert failures[1] == failures[2]
 
     def test_map_blocks_workers_capped_at_usable_cpus(self, monkeypatch):
         seen = []
