@@ -167,6 +167,8 @@ def cmd_sample(cfg: RunConfig) -> int:
 
 
 def cmd_convergence(cfg: RunConfig) -> int:
+    if cfg.sampler != "sfs":
+        raise ConfigError(f"field 'sampler': convergence runs 'sfs' only, got {cfg.sampler!r}")
     target = _build_target(cfg)
     scfg = SfsConfig(
         n_steps=1,  # replaced per level by the curve runner

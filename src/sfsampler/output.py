@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -52,8 +53,17 @@ def write_samples_csv(samples, path):
     emit_csv(header, rows, path)
 
 
+def _number(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
 def read_samples_csv(path):
-    """Read a samples.csv (chain column optional) into an (n, d) array."""
+    """Read a samples.csv (chain column optional) into an (n, d) array. A row as wide as
+    the header and a finite number in every cell are required; errors count the header
+    as row 1."""
     if not os.path.exists(path):
         raise ConfigError(f"cannot read samples file '{path}'")
     with open(path, newline="") as fh:
@@ -63,7 +73,16 @@ def read_samples_csv(path):
         except StopIteration:
             raise ConfigError(f"samples file '{path}' is empty") from None
         drop = 1 if header and header[0] == "chain" else 0
-        data = [[float(v) for v in row[drop:]] for row in reader if row]
+        data = []
+        for row in filter(None, reader):
+            where = f"samples file '{path}' row {reader.line_num}"
+            if len(row) != len(header):
+                raise ConfigError(f"{where} has {len(row)} columns, its header {len(header)}")
+            values = [_number(v) for v in row[drop:]]
+            for name, cell, value in zip(header[drop:], row[drop:], values):
+                if not math.isfinite(value):
+                    raise ConfigError(f"{where}, column '{name}': {cell!r} is not a finite number")
+            data.append(values)
     if not data:
         raise ConfigError(f"samples file '{path}' has no data rows")
     return np.asarray(data)

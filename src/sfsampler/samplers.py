@@ -18,7 +18,7 @@ import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from queue import SimpleQueue
 from threading import Condition, Thread
@@ -83,6 +83,9 @@ class LangevinConfig:
             raise ConfigError(f"gamma must be positive, got {self.gamma}")
         if self.method not in ("ula", "uld", "baoab"):
             raise ConfigError(f"unknown Langevin method '{self.method}'")
+        if self.method == "ula" and (self.m0 is not None or self.draw_momentum):
+            name = "m0" if self.m0 is not None else "draw_momentum"
+            raise ConfigError(f"field '{name}': ULA has no momentum")
         n = self.horizon / self.step
         if abs(n - round(n)) > 1e-9 or round(n) < 1:
             raise ConfigError(
@@ -92,26 +95,6 @@ class LangevinConfig:
     @property
     def n_steps(self) -> int:
         return int(round(self.horizon / self.step))
-
-
-def _as_batch(increments, n_steps, start, what):
-    """The increments as (chains, k, d), whether one chain was given, and the global steps."""
-    inc = np.asarray(increments, dtype=float)
-    single = inc.ndim == 2
-    if single:
-        inc = inc[None]
-    if inc.ndim != 3:
-        raise ConfigError(f"{what} must have shape (n_steps, d) or (chains, n_steps, d)")
-    k = inc.shape[1]
-    if start is None:
-        if k != n_steps:
-            raise ConfigError(f"{what} provide {k} steps but the config asks for {n_steps}")
-        start = 0
-    elif not (0 <= start and start + k <= n_steps):
-        raise ConfigError(
-            f"{what} cover steps {start}..{start + k - 1}, outside the config's {n_steps} steps"
-        )
-    return inc, single, range(start, start + k)
 
 
 def _check_finite(step, t, *states):
@@ -128,10 +111,43 @@ def _check_finite(step, t, *states):
     )
 
 
-# Every integrator takes either the whole path (start=None) or one time chunk
-# of it: increments for the global steps start, ..., start + k - 1, entered
-# from `state` (the value an earlier chunk returned; None for the initial
-# state). Feeding consecutive chunks gives the result of one whole run.
+def _integrate(kernel, h, n_steps, noise, start, states, what):
+    """The one loop of every integrator: states <- kernel(n, dw_n, *states) for each
+    global step n of `noise`, each step followed by a finite check at t = (n + 1) h.
+
+    noise, (k, d) for one chain or (chains, k, d), is either the whole path (start=None)
+    or one time chunk of it: the global steps start, ..., start + k - 1, entered from
+    `states` (what an earlier chunk returned; None for zeros), which are copied, so a
+    kernel may update them in place. Feeding consecutive chunks gives the result of one
+    whole run. A ZeroMassError is tagged with its step. Returns the terminal state, a
+    tuple if there are several.
+    """
+    dw = np.asarray(noise, dtype=float)
+    single = dw.ndim == 2
+    if single:
+        dw = dw[None]
+    if dw.ndim != 3:
+        raise ConfigError(f"{what} must have shape (n_steps, d) or (chains, n_steps, d)")
+    n_chains, k, d = dw.shape
+    if start is None:
+        if k != n_steps:
+            raise ConfigError(f"{what} provide {k} steps but the config asks for {n_steps}")
+        start = 0
+    elif not (0 <= start and start + k <= n_steps):
+        raise ConfigError(
+            f"{what} cover steps {start}..{start + k - 1}, outside the config's {n_steps} steps"
+        )
+    states = [np.array(np.broadcast_to(0.0 if s is None else s, (n_chains, d)), dtype=float)
+              for s in states]
+    try:
+        for n in range(start, start + k):
+            states = kernel(n, dw[:, n - start], *states)
+            _check_finite(n, (n + 1) * h, *states)
+    except ZeroMassError as exc:
+        raise ZeroMassError(f"{exc} at step {n}", step=n, t=exc.t, chains=exc.chains) from None
+    if single:
+        states = tuple(s[0] for s in states)
+    return states if len(states) > 1 else states[0]
 
 
 def sfs_run(drift_fn, cfg: SfsConfig, increments, start=None, state=None):
@@ -139,51 +155,42 @@ def sfs_run(drift_fn, cfg: SfsConfig, increments, start=None, state=None):
 
     increments must be N(0, h I) draws; the drift is only ever evaluated on the
     grid t_n = n h <= 1 - h. Identical increments and drift give bit-identical
-    output. Returns the terminal state.
+    output. Returns the terminal state; see `_integrate` for chunks.
     """
-    inc, single, steps = _as_batch(increments, cfg.n_steps, start, "increments")
-    n_chains, _, d = inc.shape
-    h = cfg.h
-    sqrt_beta = np.sqrt(cfg.beta)
-    y = _initial_state(state, n_chains, d)
-    try:
-        for j, n in enumerate(steps):
-            f = drift_fn(y, n * h)
-            y += h * f  # y is this call's own copy; the drift's output is never written
-            y += sqrt_beta * inc[:, j]
-            _check_finite(n, (n + 1) * h, y)
-    except ZeroMassError as exc:
-        raise ZeroMassError(f"{exc} at step {n}", step=n, t=exc.t, chains=exc.chains) from None
-    return y[0] if single else y
+    h, sqrt_beta = cfg.h, np.sqrt(cfg.beta)
+
+    def step(n, dw, y):
+        y += h * drift_fn(y, n * h)  # y is _integrate's copy; the drift's output is never written
+        y += sqrt_beta * dw
+        return (y,)
+
+    return _integrate(step, h, cfg.n_steps, increments, start, [state], "increments")
 
 
 def ula_run(target: TargetSpec, cfg: LangevinConfig, increments, start=None, state=None):
     """Overdamped Langevin: x <- x - h grad V(x) + sqrt(2) dW, dW ~ N(0, h I)."""
-    inc, single, steps = _as_batch(increments, cfg.n_steps, start, "increments")
-    n_chains, _, d = inc.shape
     h = cfg.step
-    x = _initial_state(cfg.x0 if state is None else state, n_chains, d)
-    for j, n in enumerate(steps):
+
+    def step(n, dw, x):
         x -= h * grad_potential(target, x)
-        x += np.sqrt(2.0) * inc[:, j]
-        _check_finite(n, (n + 1) * h, x)
-    return x[0] if single else x
+        x += np.sqrt(2.0) * dw
+        return (x,)
+
+    x0 = cfg.x0 if state is None else state
+    return _integrate(step, h, cfg.n_steps, increments, start, [x0], "increments")
 
 
 def uld_euler_run(target: TargetSpec, cfg: LangevinConfig, increments, start=None, state=None):
     """Euler scheme for underdamped Langevin; returns the terminal (x, m) pair."""
-    inc, single, steps = _as_batch(increments, cfg.n_steps, start, "increments")
-    n_chains, _, d = inc.shape
     h, gamma = cfg.step, cfg.gamma
-    x0, m0 = (cfg.x0, cfg.m0) if state is None else state
-    x = _initial_state(x0, n_chains, d)
-    m = _initial_state(m0, n_chains, d)
-    for j, n in enumerate(steps):
+
+    def step(n, dw, x, m):
         x_new = x + h * m
-        m = m - h * grad_potential(target, x) - h * gamma * m + np.sqrt(2.0 * gamma) * inc[:, j]
-        x = x_new
-        _check_finite(n, (n + 1) * h, x, m)
-    return (x[0], m[0]) if single else (x, m)
+        m = m - h * grad_potential(target, x) - h * gamma * m + np.sqrt(2.0 * gamma) * dw
+        return x_new, m
+
+    xm = (cfg.x0, cfg.m0) if state is None else state
+    return _integrate(step, h, cfg.n_steps, increments, start, xm, "increments")
 
 
 def baoab_run(target: TargetSpec, cfg: LangevinConfig, gaussians, start=None, state=None):
@@ -191,28 +198,20 @@ def baoab_run(target: TargetSpec, cfg: LangevinConfig, gaussians, start=None, st
 
     gaussians are plain standard normals (the OU step scales them itself).
     """
-    xi, single, steps = _as_batch(gaussians, cfg.n_steps, start, "gaussians")
-    n_chains, _, d = xi.shape
     h, gamma = cfg.step, cfg.gamma
     c1 = np.exp(-gamma * h)
     c2 = np.sqrt(1.0 - c1 * c1)
-    x0, m0 = (cfg.x0, cfg.m0) if state is None else state
-    x = _initial_state(x0, n_chains, d)
-    m = _initial_state(m0, n_chains, d)
-    for j, n in enumerate(steps):
+
+    def step(n, xi, x, m):
         m = m - 0.5 * h * grad_potential(target, x)
         x = x + 0.5 * h * m
-        m = c1 * m + c2 * xi[:, j]
+        m = c1 * m + c2 * xi
         x = x + 0.5 * h * m
         m = m - 0.5 * h * grad_potential(target, x)
-        _check_finite(n, (n + 1) * h, x, m)
-    return (x[0], m[0]) if single else (x, m)
+        return x, m
 
-
-def _initial_state(x0, n_chains, d):
-    if x0 is None:
-        return np.zeros((n_chains, d))
-    return np.array(np.broadcast_to(np.asarray(x0, dtype=float), (n_chains, d)))
+    xm = (cfg.x0, cfg.m0) if state is None else state
+    return _integrate(step, h, cfg.n_steps, gaussians, start, xm, "gaussians")
 
 
 @dataclass
@@ -385,11 +384,9 @@ def _run_block(cfg, target, root_seed, chain_ids, workers):
         drift_fn = make_drift(target, cfg.beta, cfg.drift, pool=streams.pool)
         integrator, head = sfs_run, (drift_fn, cfg)
     else:
-        if streams.m0 is not None:
-            cfg = replace(cfg, m0=streams.m0, draw_momentum=False)
         integrator = {"ula": ula_run, "uld": uld_euler_run, "baoab": baoab_run}[cfg.method]
         head = (target, cfg)
-    state = None
+    state = None if streams.m0 is None else (cfg.x0, streams.m0)
     with closing(increment_chunks(streams, cfg.n_steps, target.dim, workers)) as chunks:
         for start, chunk in chunks:
             state = integrator(*head, chunk, start, state)
@@ -448,13 +445,14 @@ def run_ensemble(cfg, target: TargetSpec, n_chains, root_seed, threads=1) -> Sam
     """Run n_chains chains through `map_blocks`; chain i draws from RngStream(root_seed, i)."""
     blocks = map_blocks(partial(_run_block, cfg, target, root_seed), n_chains, threads)
     samples = np.concatenate(blocks, axis=0)
+    sfs = isinstance(cfg, SfsConfig)
     meta = {
-        "sampler": cfg.drift if isinstance(cfg, SfsConfig) else cfg.method,
-        "method": "sfs" if isinstance(cfg, SfsConfig) else cfg.method,
+        "sampler": cfg.drift if sfs else cfg.method,
+        "method": "sfs" if sfs else cfg.method,
         "target": target.kind,
-        "beta": cfg.beta if isinstance(cfg, SfsConfig) else None,
-        "h": cfg.h if isinstance(cfg, SfsConfig) else cfg.step,
-        "M": cfg.n_mc if isinstance(cfg, SfsConfig) and cfg.drift in ("stein_mc", "grad_mc") else None,
+        "beta": cfg.beta if sfs else None,
+        "h": cfg.h if sfs else cfg.step,
+        "M": cfg.n_mc if sfs and cfg.drift in ("stein_mc", "grad_mc") else None,
         "seed": int(root_seed),
         "n_chains": int(n_chains),
         "dim": target.dim,

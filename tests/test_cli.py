@@ -408,6 +408,13 @@ class TestConvergence:
         assert f"field '{field}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_langevin_sampler_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, target=PM2_TARGET, sampler="ula", h_list=[0.25, 0.125, 0.0625],
+                           ref_level=6, n_chains=4, out=str(tmp_path / "o"))
+        assert main(["convergence", "--config", cfg]) == 2
+        assert "field 'sampler'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_ref_level_outside_ladder_exits_2(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, target=PM2_TARGET, h_list=[0.25, 0.125, 0.0625], out=str(tmp_path / "o")
@@ -450,6 +457,22 @@ class TestW2Command:
         path = tmp_path / "a.csv"
         write_samples_csv(np.zeros((2, 1)), str(path))
         assert main(["w2", str(path), str(tmp_path / "nope.csv")]) == 2
+
+    @pytest.mark.parametrize(
+        "body, where",
+        [("0,1.0,2.0\n1,1.0,abc\n", "row 3, column 'dim_1'"),
+         ("0,1.0,2.0\n1,1.0\n", "row 3 has 2 columns"),
+         ("0,1.0,nan\n1,1.0,2.0\n", "row 2, column 'dim_1'")],
+        ids=["non_numeric", "ragged", "nan"],
+    )
+    def test_malformed_samples_exit_2(self, tmp_path, capsys, body, where):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        write_samples_csv(np.zeros((2, 2)), str(good))
+        bad.write_text("chain,dim_0,dim_1\n" + body)
+        assert main(["w2", str(good), str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert f"samples file '{bad}' {where}" in captured.err
+        assert captured.out == ""
 
 
 class TestCompare:

@@ -252,6 +252,78 @@ class TestLangevinConfig:
         with pytest.raises(ConfigError, match=name):
             LangevinConfig(**{"step": 0.1, "horizon": 1.0, "method": "uld", name: value})
 
+    @pytest.mark.parametrize("name, value", [("m0", np.array([1.0])), ("draw_momentum", True)])
+    def test_ula_rejects_momentum_field(self, name, value):
+        with pytest.raises(ConfigError, match=f"field '{name}'"):
+            LangevinConfig(step=0.1, horizon=1.0, method="ula", **{name: value})
+
+
+def states_of(out):
+    """An integrator's terminal state as a tuple of arrays."""
+    return out if isinstance(out, tuple) else (out,)
+
+
+def state_bytes(out):
+    return b"".join(np.ascontiguousarray(s).tobytes() for s in states_of(out))
+
+
+class TestIntegratorProtocol:
+    """The step protocol every integrator shares: noise shapes, chunks and checks."""
+
+    TARGET = make_two_mode_gmm(3, separation=4.0, variance=0.5)
+    LANGEVIN = dict(step=0.1, horizon=1.2, x0=np.array([0.5, -0.2, 0.1]))
+    CASES = {
+        "sfs_run": (
+            (make_drift(TARGET, 1.5, "gmm_exact"), SfsConfig(n_steps=12, beta=1.5)), "increments"
+        ),
+        "ula_run": ((TARGET, LangevinConfig(method="ula", **LANGEVIN)), "increments"),
+        "uld_euler_run": (
+            (TARGET, LangevinConfig(method="uld", m0=np.full(3, 0.3), **LANGEVIN)), "increments"
+        ),
+        "baoab_run": (
+            (TARGET, LangevinConfig(method="baoab", m0=np.full(3, 0.3), **LANGEVIN)), "gaussians"
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_shapes_chunks_and_step_range(self, name):
+        run = getattr(samplers, name)
+        head, what = self.CASES[name]
+        noise = np.random.default_rng(7).standard_normal((4, 12, 3)) * 0.3
+        whole = run(*head, noise)
+        for i in range(4):  # one chain's 2-D noise gives that chain's row of the batch
+            assert state_bytes(run(*head, noise[i])) == state_bytes(
+                tuple(s[i] for s in states_of(whole))
+            )
+        first = run(*head, noise[:, :5], 0)
+        assert state_bytes(run(*head, noise[:, 5:], 5, first)) == state_bytes(whole)
+        for args in [(noise[:, :11],), (noise[:, :5], 8), (noise[:, :5], -1)]:
+            with pytest.raises(ConfigError, match=what):
+                run(*head, *args)
+
+    @pytest.mark.parametrize(
+        "name, method, x1", [("uld_euler_run", "uld", 2.0), ("baoab_run", "baoab", 0.9)]
+    )
+    def test_non_finite_momentum_alone_diverges(self, monkeypatch, name, method, x1):
+        # grad V is infinite beyond x = 1: chain 1's momentum overflows in step 0 while
+        # its position stays finite (ULD starts there; BAOAB's kicks carry it there)
+        wall = make_custom(
+            lambda x: np.zeros(x.shape[:-1]), dim=1, grad=lambda x: np.where(x > 1.0, np.inf, 0.0)
+        )
+        cfg = LangevinConfig(step=0.1, horizon=0.5, method=method)
+        x0, m0 = np.array([[0.0], [x1], [0.0]]), np.array([[0.0], [10.0], [0.0]])
+        checked, check = [], samplers._check_finite
+
+        def recording(step, t, x, m):
+            checked.append((np.isfinite(x).all(), np.isfinite(m).all()))
+            check(step, t, x, m)
+
+        monkeypatch.setattr(samplers, "_check_finite", recording)
+        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as err:
+            getattr(samplers, name)(wall, cfg, np.zeros((3, 5, 1)), None, (x0, m0))
+        assert checked == [(True, False)]
+        assert "step 0 (t=0.1) in chains [1]" in str(err.value)
+
 
 class TestRunEnsemble:
     def test_single_chain_equals_direct_run(self):
