@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .drift import make_drift, make_noise_pool
+from .drift import QUADRATURE_NODES, make_drift, make_noise_pool
 from .errors import ConfigError, DivergenceError, NumericalError, ZeroMassError
 from .metrics import (
     default_mode_radius,
@@ -45,6 +45,14 @@ EXIT_DIVERGENCE = 3
 EXIT_GATE = 4
 
 DEFAULT_BAND = (0.85, 1.15)
+
+# the run fields that only some samplers read
+SAMPLER_FIELDS = {
+    "sfs": ("beta", "drift", "M", "antithetic"),
+    "ula": ("horizon",),
+    "uld": ("gamma", "horizon"),
+    "baoab": ("gamma", "horizon"),
+}
 
 
 @dataclass
@@ -85,8 +93,11 @@ def _read_json(fh, what) -> dict:
     return doc
 
 
-def load_config(path=None, overrides=None) -> RunConfig:
-    """Merge a JSON config file with command-line overrides and check the fields."""
+def load_config(path=None, overrides=None, verb=None) -> RunConfig:
+    """Merge a JSON config file with command-line overrides and check the fields. For
+    the verbs `sample` and `convergence` (which runs the sfs sampler), a field that the
+    run's sampler never reads is an error too; `compare` shares its fields among
+    variants of different samplers, so it keeps them all."""
     doc = {}
     if path is not None:
         if not os.path.exists(path):
@@ -105,7 +116,15 @@ def load_config(path=None, overrides=None) -> RunConfig:
             raise ConfigError(f"target_file '{target_file}' does not exist")
         with open(target_file) as fh:
             doc["target"] = _read_json(fh, f"field 'target_file': '{target_file}'")
-    return RunConfig(**doc)
+    cfg = RunConfig(**doc)
+    if verb in ("sample", "convergence"):
+        sampler = "sfs" if verb == "convergence" else cfg.sampler
+        unread = set().union(*SAMPLER_FIELDS.values()) - set(SAMPLER_FIELDS[sampler])
+        for name in doc:
+            if name in unread:
+                raise ConfigError(f"field '{name}': the {sampler} sampler of '{verb}' "
+                                  "does not read it")
+    return cfg
 
 
 def _build_target(cfg: RunConfig) -> TargetSpec:
@@ -332,7 +351,7 @@ def cmd_drift_check(args) -> int:
         pool = make_noise_pool(doc.get("M", 200), target.dim, gen,
                                antithetic=doc.get("antithetic", False))
     drift_fn = make_drift(target, doc.get("beta", 1.0), variant, pool=pool,
-                          n_nodes=doc.get("n_nodes", 64))
+                          n_nodes=doc.get("n_nodes", QUADRATURE_NODES))
     value = drift_fn(x, doc["t"])
     print(json.dumps({"drift": np.asarray(value).tolist(), "variant": variant}))
     return EXIT_OK
@@ -392,7 +411,8 @@ def main(argv=None) -> int:
         if args.command == "drift-check":
             return cmd_drift_check(args)
         overrides = {key: getattr(args, key, None) for key in RUN}  # the flags the verb has
-        return _CONFIG_COMMANDS[args.command](load_config(args.config, overrides))
+        cfg = load_config(args.config, overrides, args.command)
+        return _CONFIG_COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"ERROR[config] {exc}", file=sys.stderr)
         return EXIT_CONFIG

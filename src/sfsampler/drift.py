@@ -20,6 +20,10 @@ from .schema import DRIFT_VARIANTS
 from .targets import GaussianMixture, TargetSpec, _check_beta
 
 
+# Gauss-Hermite nodes per axis of the quadrature drift
+QUADRATURE_NODES = 64
+
+
 def _check_t(t) -> float:
     t = float(t)
     if not (0.0 <= t < 1.0):
@@ -220,7 +224,7 @@ class QuadratureDrift:
     sum runs along the node axis too.
     """
 
-    def __init__(self, target: TargetSpec, beta, n_nodes=64):
+    def __init__(self, target: TargetSpec, beta, n_nodes=QUADRATURE_NODES):
         if target.dim > 2:
             raise ConfigError("quadrature drift supports d <= 2 only")
         self.target = target
@@ -245,7 +249,7 @@ class QuadratureDrift:
         return np.sqrt(beta / (1.0 - t)) * (self.nodes @ p[..., :, None])[..., 0]
 
 
-def make_drift(target: TargetSpec, beta, variant, pool=None, n_nodes=64):
+def make_drift(target: TargetSpec, beta, variant, pool=None, n_nodes=QUADRATURE_NODES):
     """Build a drift evaluator f(x, t) of the requested variant."""
     if variant == "gmm_exact":
         return GmmExactDrift(target, beta)

@@ -18,7 +18,9 @@ from .numerics import SpdMatrix
 from .rng import MAX_LADDER_LEVEL, _as_generator, halve_increments
 # unused here since the curve streams its paths, but perfbench/tracing.py patches it
 from .rng import brownian_ladder_make  # noqa: F401
-from .samplers import SampleBatch, SfsConfig, increment_chunks, map_blocks, open_chains, sfs_run
+from .samplers import (
+    SampleBatch, SfsConfig, chains_per_block, increment_chunks, map_blocks, open_chains, sfs_run,
+)
 from .targets import TargetSpec
 
 W2_EXACT_MAX_N = 4096
@@ -282,7 +284,7 @@ def strong_error_curve(
                                 done[level] += part.shape[1]
         return np.array([np.sum((out[level] - out[ref_level]) ** 2) for level in levels])
 
-    sq_sums = sum(map_blocks(block, n_chains, threads))
+    sq_sums = sum(map_blocks(block, n_chains, threads, chains_per_block(cfg, target)))
     rmse = np.sqrt(sq_sums / n_chains)
     h_arr = np.array([2.0 ** (-k) for k in levels])
     order = np.argsort(h_arr)[::-1]

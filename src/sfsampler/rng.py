@@ -21,10 +21,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigError
 
 MAX_LADDER_LEVEL = 20
+
+
+class _ZeroSeed(ISeedSequence):
+    """Seeds every Philox with a zero key, without the OS entropy an unseeded one reads."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype=dtype)
+
+
+_ZERO_SEED = _ZeroSeed()
 
 
 @dataclass(frozen=True)
@@ -35,8 +46,14 @@ class RngStream:
     stream_id: int
 
     def generator(self) -> np.random.Generator:
-        key = np.array([self.root_seed, self.stream_id], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        """The stream of Philox(key=(root_seed, stream_id)) from counter 0. The key is set
+        through the documented state: Philox(key=...) would first build and discard a
+        seed sequence drawn from OS entropy."""
+        bits = np.random.Philox(_ZERO_SEED)
+        state = bits.state
+        state["state"]["key"] = np.array([self.root_seed, self.stream_id], dtype=np.uint64)
+        bits.state = state
+        return np.random.Generator(bits)
 
 
 def _as_generator(rng) -> np.random.Generator:

@@ -7,9 +7,11 @@ Langevin, and BAOAB splitting. Ensembles derive chain i's randomness from
 RngStream(root_seed, i), so results are independent of worker count and
 scheduling; each block draws and integrates its Brownian increments in time
 chunks of at most NOISE_CHUNK_BYTES, so results are independent of the chunk
-length too. When a CPU is free, a helper thread draws the next chunk while the
-block integrates this one; every chain's rows are still one draw from its own
-generator, in chunk order, so who draws a row never changes a result.
+length too. When a CPU is free, a helper thread draws the next chunk of a block
+of at most HELPER_MAX_CHAINS chains while the block integrates this one; every
+chain's rows are still one draw from its own generator, in chunk order, so who
+draws a row never changes a result. Blocks are sized by the bytes one chain's
+step touches (`chains_per_block`), never by the chain or worker count.
 """
 
 from __future__ import annotations
@@ -26,19 +28,31 @@ from typing import Optional
 
 import numpy as np
 
-from .drift import NoisePool, draw_noise_pools, make_drift
+from .drift import QUADRATURE_NODES, NoisePool, draw_noise_pools, make_drift
 from .errors import ConfigError, DivergenceError, NumericalError, ZeroMassError
 from .rng import RngStream
 from .targets import TargetSpec, _check_beta, grad_potential
 
-# chains per vectorized block; fixed so that the partition (and therefore the
-# arithmetic) never depends on the worker count
+# chains per block of `map_blocks` when the caller gives no size
 ENSEMBLE_BLOCK = 512
+# the bytes the widest per-chain array of one step may take in a block, and the most
+# chains a block holds (`chains_per_block`)
+BLOCK_BYTES = 2 * 2**20
+MAX_BLOCK = 8192
 # bytes of Brownian increments per chunk buffer (a block holds two): a longer path
 # is drawn and integrated in time chunks, which never changes the result
 NOISE_CHUNK_BYTES = 4 * 2**20
+# the bytes one step's increments may take in a block (`chains_per_block`), so that a
+# chunk holds at least 8 steps
+STEP_NOISE_BYTES = NOISE_CHUNK_BYTES // 8
 # rows of a chunk a thread takes at a time when drawing it: one lock and one scaling each
 ROW_RUN = 8
+# the most chains of a block whose chunks a helper thread shares: a chunk row then holds
+# about NOISE_CHUNK_BYTES / (8 * 512) = 1024 normals, and the helper's draws leave the
+# GIL free most of the time; with shorter rows the block's own steps wait for the GIL
+# around every row (light steps of 1024 to 8192 chains ran 1.3-2.3x slower with a
+# helper than without on a 2-vCPU machine)
+HELPER_MAX_CHAINS = 512
 
 
 @dataclass(frozen=True)
@@ -334,8 +348,9 @@ def increment_chunks(streams: ChainStreams, n_steps, d, workers=1):
     NOISE_CHUNK_BYTES; a chunk stays valid until the next one is asked for.
 
     The chunks alternate between the two halves of one (B, 2k, d) buffer. If the path
-    has more than one chunk and the process has more CPUs than `workers` (the block
-    workers running), one helper thread shares the draws: it starts on each chunk as
+    has more than one chunk, the block has at most HELPER_MAX_CHAINS chains and the
+    process has more CPUs than `workers` (the block workers running), one helper thread
+    shares the draws: it starts on each chunk as
     soon as the previous one is handed out, and asking for the chunk draws the rows the
     helper has not reached and waits for its current run. Otherwise each generator call
     fills a chain's row of both halves, two chunks at once. A chain's rows are one draw
@@ -347,7 +362,7 @@ def increment_chunks(streams: ChainStreams, n_steps, d, workers=1):
     k = min(n_steps, max(1, NOISE_CHUNK_BYTES // (b * d * 8)))
     buf = np.empty((b, min(2 * k, n_steps), d))
     jobs, helper = SimpleQueue(), None
-    if n_steps > k and usable_cpus() > workers:
+    if n_steps > k and b <= HELPER_MAX_CHAINS and usable_cpus() > workers:
         helper = Thread(target=_draw_jobs, args=(jobs,), name="increment-chunks")
         helper.start()
     span = k if helper is not None else 2 * k  # steps drawn per generator call
@@ -375,6 +390,35 @@ def increment_chunks(streams: ChainStreams, n_steps, d, workers=1):
             rows.stop()
             jobs.put(None)
             helper.join()
+
+
+def chains_per_block(cfg, target: TargetSpec) -> int:
+    """The chains of one ensemble block: the largest power of two, at most MAX_BLOCK (and
+    at least 1), whose widest per-chain array of one step fits BLOCK_BYTES and whose
+    increments of one step fit STEP_NOISE_BYTES. Shorter noise chunks would mean more
+    generator calls per step, and rows too short for the noise helper: at d = 100, 1024
+    chains in one block ran 1.5x slower than in two blocks of 512 (2-vCPU machine).
+
+    Floats per chain: kappa d for the exact drift (kappa mixture components), M max(d,
+    kappa + 1) for the Monte Carlo drifts (the pool, or the mixture's forms over it),
+    n^d d for n-node quadrature, and kappa d on a mixture (d otherwise) for Langevin. The
+    size depends on the config and the target alone, never on the chain or thread count,
+    and no step reads another chain's row, so it never changes a result.
+    """
+    d = target.dim
+    kappa = 0 if target.mixture is None else target.mixture.n_components
+    if not isinstance(cfg, SfsConfig):
+        width = max(kappa, 1) * d
+    elif cfg.drift == "gmm_exact":
+        width = kappa * d
+    elif cfg.drift == "quadrature":
+        width = QUADRATURE_NODES**d * d
+    else:
+        width = cfg.n_mc * max(d, kappa + 1)
+    chains = MAX_BLOCK
+    while chains > 1 and (chains * width * 8 > BLOCK_BYTES or chains * d * 8 > STEP_NOISE_BYTES):
+        chains //= 2
+    return chains
 
 
 def _run_block(cfg, target, root_seed, chain_ids, workers):
@@ -409,16 +453,18 @@ def _aggregate(failed):
     return kind(message, step=first.step, t=first.t, chains=chains)
 
 
-def map_blocks(fn, n_chains, threads=1) -> list:
-    """fn(ids, workers) for each fixed ENSEMBLE_BLOCK of chain ids, in block order, on
-    `workers` = min(threads, blocks, usable CPUs) workers, which never changes a result.
-    Each block runs in a copy of the caller's context, so a worker thread sees the
-    caller's `np.errstate`. A numerical failure in any block fails the whole call, with
-    the step, t and global chain ids of every failed block."""
+def map_blocks(fn, n_chains, threads=1, block=ENSEMBLE_BLOCK) -> list:
+    """fn(ids, workers) for each run of `block` consecutive chain ids (fewer in the last),
+    in block order, on `workers` = min(threads, blocks, usable CPUs) workers, which never
+    changes a result. The caller picks a block size that depends on neither n_chains nor
+    threads (`chains_per_block`), so the partition is fixed too. Each block runs in a copy
+    of the caller's context, so a worker thread sees the caller's `np.errstate`. A
+    numerical failure in any block fails the whole call, with the step, t and global
+    chain ids of every failed block."""
     if n_chains < 1:
         raise ConfigError(f"n_chains must be >= 1, got {n_chains}")
     ids = list(range(n_chains))
-    blocks = [ids[lo : lo + ENSEMBLE_BLOCK] for lo in range(0, n_chains, ENSEMBLE_BLOCK)]
+    blocks = [ids[lo : lo + block] for lo in range(0, n_chains, block)]
     workers = max(1, min(threads, len(blocks), usable_cpus()))
 
     def task(ids):
@@ -443,7 +489,8 @@ def map_blocks(fn, n_chains, threads=1) -> list:
 
 def run_ensemble(cfg, target: TargetSpec, n_chains, root_seed, threads=1) -> SampleBatch:
     """Run n_chains chains through `map_blocks`; chain i draws from RngStream(root_seed, i)."""
-    blocks = map_blocks(partial(_run_block, cfg, target, root_seed), n_chains, threads)
+    blocks = map_blocks(partial(_run_block, cfg, target, root_seed), n_chains, threads,
+                        chains_per_block(cfg, target))
     samples = np.concatenate(blocks, axis=0)
     sfs = isinstance(cfg, SfsConfig)
     meta = {

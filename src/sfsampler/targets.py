@@ -19,6 +19,9 @@ from .numerics import SpdMatrix, log_sum_exp, rows_times, shifted_points, weight
 from .schema import TARGETS, check
 
 WEIGHT_SUM_TOL = 1e-9
+# log of the smallest nonzero component weight, against the top one, in the mixture pool
+# evaluator: e^-700 is far from underflow, where np.exp leaves its vectorized path
+EXP_FLOOR = -700.0
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -313,12 +316,17 @@ class MixturePoolEvaluator(PoolEvaluator):
         forms += offset[..., None]
         for i in range(k + 1):  # row by row: no second (..., kappa + 1, M) temporary
             forms[..., i, :] += s * self.quad[..., i, :]
-        # the components exponentiated in place against their top
+        # the components exponentiated in place against their top; a weight below
+        # e^EXP_FLOOR of the top (exactly 1) is set to exactly 0 instead, which leaves
+        # np.exp's fast path for no argument that would underflow
         comp = forms[..., :k, :]
         top = np.max(comp, axis=-2)
         top[~np.isfinite(top)] = 0.0
         comp -= top[..., None, :]
+        kept = comp >= EXP_FLOOR
+        np.maximum(comp, EXP_FLOOR, out=comp)
         np.exp(comp, out=comp)
+        comp *= kept
         total = np.sum(comp, axis=-2)
         with np.errstate(divide="ignore"):
             base = np.log(total)

@@ -271,6 +271,20 @@ class TestSample:
         meta = json.loads((out / "meta.json").read_text())
         assert "wall_time_s" not in meta
 
+    @pytest.mark.parametrize(
+        "sampler, extra, named",
+        [("ula", {"beta": 3.0, "M": 17, "antithetic": True}, "beta"),
+         ("ula", {"gamma": 2.0}, "gamma"),
+         ("baoab", {"drift": "gmm_exact"}, "drift"),
+         ("sfs", {"horizon": 3.0}, "horizon")],
+    )
+    def test_field_the_sampler_never_reads_exits_2(self, tmp_path, capsys, sampler, extra, named):
+        cfg = write_config(tmp_path, target=PM2_TARGET, sampler=sampler, h=0.125, n_chains=3,
+                           out=str(tmp_path / "o"), **extra)
+        assert main(["sample", "--config", cfg]) == 2
+        assert f"field '{named}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -367,7 +381,8 @@ class TestConvergence:
         )
         assert main(["convergence", "--config", cfg]) == 4
 
-    def test_thread_count_never_changes_the_files(self, tmp_path, monkeypatch):
+    def test_thread_count_never_changes_the_files(self, tmp_path, monkeypatch, blocks_of):
+        blocks_of(512)  # 600 chains make two blocks
         workers = []
 
         class RecordingPool(samplers.ThreadPoolExecutor):
@@ -406,6 +421,15 @@ class TestConvergence:
         cfg = write_config(tmp_path, target=PM2_TARGET, out=str(tmp_path / "o"), **doc)
         assert main(["convergence", "--config", cfg]) == 2
         assert f"field '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("extra, named", [({"gamma": 7.0, "horizon": 3.0}, "gamma"),
+                                               ({"horizon": 3.0}, "horizon")])
+    def test_langevin_field_exits_2(self, tmp_path, capsys, extra, named):
+        cfg = write_config(tmp_path, target=PM2_TARGET, h_list=[0.25, 0.125, 0.0625], ref_level=6,
+                           n_chains=4, out=str(tmp_path / "o"), **extra)
+        assert main(["convergence", "--config", cfg]) == 2
+        assert f"field '{named}'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_langevin_sampler_exits_2(self, tmp_path, capsys):

@@ -22,7 +22,9 @@ from sfsampler import (
 )
 from sfsampler.errors import ConfigError, ZeroMassError
 from sfsampler.numerics import softmax
-from sfsampler.targets import MixturePoolEvaluator, PoolEvaluator, log_g_and_grad, log_g_beta
+from sfsampler.targets import (
+    EXP_FLOOR, MixturePoolEvaluator, PoolEvaluator, log_g_and_grad, log_g_beta,
+)
 
 SKEWED_BIMODAL_PM2 = dict(weights=[0.75, 0.25], means=[-2.0, 2.0], covs=[0.2, 0.8])
 
@@ -439,6 +441,21 @@ class TestPoolFrame:
                 with pytest.raises(ZeroMassError) as err:
                     drift(x, 0.5)
             assert err.value.chains == [1, 3]
+
+    def test_weights_far_below_the_top_are_exactly_zero(self):
+        # at t = 0, beta = 1 the points are y_j = xi_j, and the weight of the component at
+        # +40 against the one at -40 is e^(80 y_j): below e^-700 for y_j < -8.75
+        target = make_gaussian_mixture([0.5, 0.5], [-40.0, 40.0], [1.0, 1.0])
+        xi = np.linspace(-12.0, 12.0, 97)[None, :, None]
+        frame = MixturePoolEvaluator(target, 1.0, xi)
+        weights = frame._evaluate(np.zeros((1, 1)), 1.0)[2][3][0, :2]
+        log_ratio = -80.0 * np.abs(xi[0, :, 0])
+        assert np.all(np.max(weights, axis=0) == 1.0)
+        lower = np.min(weights, axis=0)
+        assert np.all(lower[log_ratio < EXP_FLOOR] == 0.0)
+        kept = log_ratio >= EXP_FLOOR
+        assert np.all(lower[kept] > 0.0)
+        assert np.allclose(np.log(lower[kept]), log_ratio[kept], rtol=1e-12, atol=1e-9)
 
     def test_floor_where_the_density_underflows(self):
         # a mean of 1e200 overflows every component form: the floor's uniform weights give an

@@ -24,6 +24,13 @@ class TestRngStream:
         b = RngStream(2, 0).generator().standard_normal(16)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("key", [(7, 0), (7, 5), (7, 511), (0, 0), (2**64 - 1, 2**64 - 1)])
+    def test_stream_is_philox_keyed_by_seed_and_id(self, key):
+        gen = RngStream(*key).generator()
+        philox = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+        assert gen.standard_normal(1000).tobytes() == philox.standard_normal(1000).tobytes()
+        assert gen.integers(0, 2**63, 7).tobytes() == philox.integers(0, 2**63, 7).tobytes()
+
 
 class TestBrownianLadder:
     def test_level_zero_single_increment(self):

@@ -335,7 +335,8 @@ class TestRunEnsemble:
         direct = sfs_run(drift, cfg, noise)
         assert np.array_equal(batch.samples, direct)
 
-    def test_worker_count_never_changes_results(self):
+    def test_worker_count_never_changes_results(self, blocks_of):
+        blocks_of(512)  # three blocks
         target = make_gaussian_mixture([0.75, 0.25], [-2.0, 2.0], [0.2, 0.8])
         cfg = SfsConfig(n_steps=16, beta=1.0, drift="gmm_exact")
         a = run_ensemble(cfg, target, n_chains=1030, root_seed=5, threads=1)
@@ -358,8 +359,9 @@ class TestRunEnsemble:
          LangevinConfig(step=0.05, horizon=0.4, method="ula")],
         ids=["gmm_exact", "stein_mc", "grad_mc", "ula"],
     )
-    def test_full_covariance_prefix_at_every_block_size(self, cfg):
+    def test_full_covariance_prefix_at_every_block_size(self, cfg, blocks_of):
         # 1 and 513 chains end in a one-chain block, whose rotations must match the others'
+        blocks_of(512)
         covs = [np.full((5, 5), 0.3) + 0.3 * np.eye(5), np.full((5, 5), -0.08) + 0.48 * np.eye(5)]
         target = make_gaussian_mixture([0.6, 0.4], [[-4.0, 0, 0, 0, 0], [4.0, 2, 0, 0, 0]], covs)
         large = run_ensemble(cfg, target, n_chains=600, root_seed=3).samples
@@ -374,7 +376,8 @@ class TestRunEnsemble:
         assert batch.samples.shape == (8, 1)
         assert batch.meta["method"] == "baoab"
 
-    def test_divergence_aggregates_global_chain_ids(self):
+    def test_divergence_aggregates_global_chain_ids(self, blocks_of):
+        blocks_of(512)  # two blocks
         steep = make_custom(
             lambda x: 1e6 * np.sum(x**4, axis=-1),
             dim=1,
@@ -420,9 +423,10 @@ class TestRunEnsemble:
             ),
         ],
     )
-    def test_zero_mass_names_global_chain_ids(self, run):
+    def test_zero_mass_names_global_chain_ids(self, run, blocks_of):
         # support x > -1: at t = 0 every chain sits at 0 and evaluates y = xi, so a
         # chain loses all weight mass exactly when both its pool draws lie at or below -1
+        blocks_of(512)
         half_line = make_custom(lambda x: np.where(x[..., 0] > -1.0, 0.0, np.inf), dim=1)
         cfg = SfsConfig(n_steps=4, drift="stein_mc", n_mc=2)
         n = 600
@@ -705,9 +709,10 @@ class TestSharedDraws:
         assert samples.tobytes() == sfs_run(drift, cfg, serial).tobytes()
 
     @pytest.mark.parametrize("cpus", [1, 2, 4])
-    def test_threads_and_prefixes_keep_bytes(self, monkeypatch, cpus):
+    def test_threads_and_prefixes_keep_bytes(self, monkeypatch, blocks_of, cpus):
         # multi-chunk paths in every block of more than one chain; with 4 CPUs both
         # block workers at threads=2 have a helper
+        blocks_of(512)
         target = make_two_mode_gmm(3, separation=4.0, variance=0.5)
         cfg = SfsConfig(n_steps=20, beta=1.5, drift="grad_mc", n_mc=6)
         pretend_cpus(monkeypatch, cpus)
@@ -752,6 +757,17 @@ class TestSharedDraws:
         two_cpus = run_ensemble(cfg, target, 64, 5).samples
         assert len(helpers) == 1
         assert one_cpu.tobytes() == two_cpus.tobytes()
+
+    def test_no_helper_for_a_block_beyond_helper_max_chains(self, monkeypatch):
+        cfg = SfsConfig(n_steps=12)
+        pretend_cpus(monkeypatch, 2)
+        helpers = spy_helpers(monkeypatch)
+        for n in (samplers.HELPER_MAX_CHAINS, samplers.HELPER_MAX_CHAINS + 1):
+            chunk_steps(monkeypatch, n, 1, 3)
+            streams = open_chains(cfg, 1, 9, range(n))
+            noise = np.concatenate([c.copy() for _, c in increment_chunks(streams, 12, 1)], axis=1)
+            assert noise.tobytes() == serial_noise(cfg, 1, 9, range(n)).tobytes()
+        assert len(helpers) == 1  # the first block's alone
 
     def test_single_chunk_path_starts_no_helper(self, monkeypatch):
         pretend_cpus(monkeypatch, 2)
@@ -801,9 +817,10 @@ class TestSharedDraws:
         with pytest.raises(RuntimeError, match="draw failed"):
             rows.wait()
 
-    def test_workers_keep_the_callers_errstate(self, monkeypatch):
+    def test_workers_keep_the_callers_errstate(self, monkeypatch, blocks_of):
         # ULA at step 5 diverges on the ring, and 1030 chains make three blocks; the
         # caller silences the overflow met on the way, and so must every block worker
+        blocks_of(512)
         ring = make_builtin("ring", r0=2.0, sigma=0.2)
         cfg = LangevinConfig(step=5.0, horizon=500.0, method="ula")
         pretend_cpus(monkeypatch, 2)
@@ -832,3 +849,70 @@ class TestSharedDraws:
             samplers.map_blocks(lambda ids, w: workers.append(w), 3 * 512, threads=8)
         assert seen == [2, 3]
         assert workers == [1] * 3 + [2] * 3 + [3] * 3
+
+
+FULL_D3 = make_gaussian_mixture(
+    [0.6, 0.4], [[-2.0, 0.0, 1.0], [2.0, 1.0, 0.0]],
+    [np.full((3, 3), 0.2) + 0.3 * np.eye(3), np.diag([0.5, 1.0, 0.25])],
+)
+RING = make_builtin("ring", r0=2.0, sigma=0.2)
+
+
+class TestBlockSizing:
+    """Blocks are sized by the bytes one chain's step touches, never by the ensemble."""
+
+    CASES = {
+        "gmm_exact_diag": (SfsConfig(n_steps=6, beta=2.0), make_two_mode_gmm(3)),
+        "gmm_exact_full": (SfsConfig(n_steps=6, beta=2.0), FULL_D3),
+        "stein_mc": (SfsConfig(n_steps=6, drift="stein_mc", n_mc=8), RING),
+        "stein_mc_antithetic": (SfsConfig(n_steps=6, drift="stein_mc", n_mc=8, antithetic=True),
+                                FULL_D3),
+        "grad_mc": (SfsConfig(n_steps=6, beta=1.5, drift="grad_mc", n_mc=8), FULL_D3),
+        "quadrature": (SfsConfig(n_steps=4, drift="quadrature"), RING),
+        "ula": (LangevinConfig(step=0.05, horizon=0.3, method="ula"), FULL_D3),
+        "uld": (LangevinConfig(step=0.05, horizon=0.3, method="uld", draw_momentum=True), RING),
+        "baoab": (LangevinConfig(step=0.05, horizon=0.3, method="baoab", draw_momentum=True),
+                  FULL_D3),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_block_size_never_changes_the_bytes(self, blocks_of, case):
+        cfg, target = self.CASES[case]
+        n = 150 if case != "quadrature" else 40
+        sized = run_ensemble(cfg, target, n, 21).samples
+        for block in (1, 7, 64):
+            blocks_of(block)
+            assert run_ensemble(cfg, target, n, 21).samples.tobytes() == sized.tobytes()
+
+    @pytest.mark.parametrize(
+        "cfg, target, chains",
+        [(SfsConfig(n_steps=10, beta=5.0, drift="grad_mc", n_mc=200), make_two_mode_gmm(10), 128),
+         (SfsConfig(n_steps=50, drift="stein_mc", n_mc=200), RING, 512),
+         (SfsConfig(n_steps=10), make_gaussian_mixture([0.75, 0.25], [-6.0, 6.0], [0.2, 0.8]),
+          samplers.MAX_BLOCK),
+         (SfsConfig(n_steps=10), TestSharedDraws.D100, 512),
+         (LangevinConfig(step=0.1, horizon=1.0, method="ula"), make_two_mode_gmm(200), 256),
+         (SfsConfig(n_steps=10, drift="quadrature"), RING, 32),
+         (LangevinConfig(step=0.1, horizon=1.0, method="uld"), FULL_D3, samplers.MAX_BLOCK),
+         (SfsConfig(n_steps=10, drift="grad_mc", n_mc=10**6), make_two_mode_gmm(10), 1)],
+        ids=["grad_mc_d10", "ring_stein_mc", "gmm_exact_d1", "gmm_exact_d100", "ula_d200",
+             "quadrature", "uld", "pool_beyond_budget"],
+    )
+    def test_chains_per_block(self, cfg, target, chains):
+        assert samplers.chains_per_block(cfg, target) == chains
+
+    def test_size_ignores_chain_and_thread_counts(self, monkeypatch):
+        cfg = SfsConfig(n_steps=4, drift="grad_mc", n_mc=200)
+        target = make_two_mode_gmm(10)
+        sizes, original = [], samplers.map_blocks
+
+        def recording(fn, n_chains, threads=1, block=samplers.ENSEMBLE_BLOCK):
+            sizes.append(block)
+            return original(fn, n_chains, threads, block)
+
+        for module in (samplers, metrics):
+            monkeypatch.setattr(module, "map_blocks", recording)
+        for n, threads in ((1, 1), (300, 1), (300, 4), (1000, 2)):
+            run_ensemble(cfg, target, n, 3, threads=threads)
+        strong_error_curve(target, cfg, [0.5, 0.25, 0.125], 3, 300, 3, threads=2)
+        assert sizes == [128] * 5
