@@ -103,6 +103,11 @@ class GmmExactDrift:
     component order; otherwise x~ for all components comes from one rotation and the
     weighted u~_i are rotated back by another. No product runs across the chain axis, so a
     chain's drift does not depend on how many chains share the call.
+
+    One diagonal component has weight p_1 = 1: the softmax of one finite log weight is
+    exactly 1, so x * g_1 + h_1 gives the general path's bytes without forming the log
+    weight. Where that weight would overflow (x or the mean beyond about 1e154), the
+    general path gives NaN and this one the finite drift.
     """
 
     def __init__(self, target, beta):
@@ -117,6 +122,7 @@ class GmmExactDrift:
         self.numerators = np.stack([(self.sig - self.beta) / (2.0 * self.beta), alpha,
                                     self.sig, alpha**2])
         self.diagonal = gmm.rotations is None
+        self.single = self.diagonal and gmm.n_components == 1
         if not self.diagonal:
             # x @ rot_in stacks x Q_i over components; w @ rot_in.T sums w_i Q_i^T
             self.rot_in = np.concatenate(gmm.rotations, axis=1)   # (d, kappa d)
@@ -128,10 +134,17 @@ class GmmExactDrift:
         s = (1.0 - t) * self.beta
         # (kappa, d) coefficients of t alone
         c = t * self.sig + s
+        xf = x.reshape(-1, d)
+        if self.single:
+            lin, g = self.numerators[1:3] / c
+            mean = xf * g[0]
+            mean += s * lin[0]
+            mean -= xf
+            mean /= 1.0 - t
+            return mean.reshape(x.shape)
         quad, lin, g, alpha_sq = self.numerators / c
         h = s * lin
         const = self.log_theta - 0.5 * np.sum(t * alpha_sq + np.log(c), axis=-1)
-        xf = x.reshape(-1, d)
         if self.diagonal:
             rotated = [xf] * kappa
         else:

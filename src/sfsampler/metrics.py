@@ -245,9 +245,9 @@ def strong_error_curve(
     """Pathwise RMSE of coarse runs against a coupled 2**-ref_level reference.
 
     Chain i's reference path is the one `run_ensemble` draws at step 2**-ref_level, in
-    the same blocks and time chunks; coarse runs use pairwise sums of its increments (an
-    odd one left at a chunk's end pairs with the next chunk's first), and Monte Carlo
-    drifts reuse the chain's pool at every step size.
+    the same blocks (sized by that reference config) and time chunks; coarse runs use
+    pairwise sums of its increments (an odd one left at a chunk's end pairs with the next
+    chunk's first), and Monte Carlo drifts reuse the chain's pool at every step size.
     """
     if not (0 <= ref_level <= MAX_LADDER_LEVEL):
         raise ConfigError(f"ref_level must be in [0, {MAX_LADDER_LEVEL}], got {ref_level}")
@@ -284,7 +284,7 @@ def strong_error_curve(
                                 done[level] += part.shape[1]
         return np.array([np.sum((out[level] - out[ref_level]) ** 2) for level in levels])
 
-    sq_sums = sum(map_blocks(block, n_chains, threads, chains_per_block(cfg, target)))
+    sq_sums = sum(map_blocks(block, n_chains, threads, chains_per_block(ref_cfg, target)))
     rmse = np.sqrt(sq_sums / n_chains)
     h_arr = np.array([2.0 ** (-k) for k in levels])
     order = np.argsort(h_arr)[::-1]

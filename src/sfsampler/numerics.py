@@ -28,10 +28,12 @@ def log_sum_exp(w, axis=-1):
 def softmax(w, axis=-1):
     """Stable softmax along `axis`. All-(-inf) slices produce NaN (caller checks)."""
     w = np.asarray(w, dtype=float)
-    m = np.max(w, axis=axis, keepdims=True)
-    m[~np.isfinite(m)] = 0.0
-    e = np.exp(w - m)
-    e /= np.sum(e, axis=axis, keepdims=True)
+    m = w.max(axis=axis, keepdims=True)
+    if not np.isfinite(m).all():
+        m[~np.isfinite(m)] = 0.0
+    e = np.subtract(w, m)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
     return e
 
 

@@ -47,12 +47,19 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         """The stream of Philox(key=(root_seed, stream_id)) from counter 0. The key is set
-        through the documented state: Philox(key=...) would first build and discard a
-        seed sequence drawn from OS entropy."""
+        through the documented state, written whole (counter 0, empty buffer):
+        Philox(key=...) would first build and discard a seed sequence drawn from OS
+        entropy."""
         bits = np.random.Philox(_ZERO_SEED)
-        state = bits.state
-        state["state"]["key"] = np.array([self.root_seed, self.stream_id], dtype=np.uint64)
-        bits.state = state
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64),
+                      "key": np.array([self.root_seed, self.stream_id], dtype=np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         return np.random.Generator(bits)
 
 

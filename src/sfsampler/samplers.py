@@ -11,12 +11,14 @@ length too. When a CPU is free, a helper thread draws the next chunk of a block
 of at most HELPER_MAX_CHAINS chains while the block integrates this one; every
 chain's rows are still one draw from its own generator, in chunk order, so who
 draws a row never changes a result. Blocks are sized by the bytes one chain's
-step touches (`chains_per_block`), never by the chain or worker count.
+step touches (`chains_per_block`), and a wide path of several chunks runs in blocks
+small enough for a helper; the size never depends on the chain or worker count.
 """
 
 from __future__ import annotations
 
 import contextvars
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
@@ -48,11 +50,18 @@ STEP_NOISE_BYTES = NOISE_CHUNK_BYTES // 8
 # rows of a chunk a thread takes at a time when drawing it: one lock and one scaling each
 ROW_RUN = 8
 # the most chains of a block whose chunks a helper thread shares: a chunk row then holds
-# about NOISE_CHUNK_BYTES / (8 * 512) = 1024 normals, and the helper's draws leave the
-# GIL free most of the time; with shorter rows the block's own steps wait for the GIL
-# around every row (light steps of 1024 to 8192 chains ran 1.3-2.3x slower with a
-# helper than without on a 2-vCPU machine)
-HELPER_MAX_CHAINS = 512
+# about NOISE_CHUNK_BYTES / (8 * 128) = 4096 normals or more (4000 at d = 100), and the
+# helper's draws leave the GIL free most of the time; with shorter rows the block's own
+# steps wait for the GIL around every row (with 1024-normal rows, 512-chain blocks at
+# d = 1 and 10 ran 1.1x slower with a helper than without on a 2-vCPU machine)
+HELPER_MAX_CHAINS = 128
+# the fewest increments per chain-step (d) for which `chains_per_block` cuts a multi-chunk
+# path into helper-sized blocks: 512 or 2048 chains of the exact drift in 128-chain blocks
+# with a helper took, against one block without, 0.54-0.59 of the wall time at d = 100,
+# 0.54-0.65 at d = 50, 0.71-0.88 at d = 20 and 30, 0.93-1.12 at d = 10 and 2.4-2.5 at
+# d = 1, with at most 16 % more CPU time at d = 50 and 100 but 24-70 % more at d = 10 to
+# 30 (2 vCPUs)
+HELPER_MIN_DIM = 50
 
 
 @dataclass(frozen=True)
@@ -112,7 +121,12 @@ class LangevinConfig:
 
 
 def _check_finite(step, t, *states):
-    """Raise DivergenceError naming every chain with a non-finite entry in any state."""
+    """Raise DivergenceError naming every chain with a non-finite entry in any state.
+
+    One sum per state is the fast path; only a non-finite sum (which finite entries may
+    give by overflowing it) leads to the entry-by-entry search."""
+    if all(math.isfinite(np.add.reduce(s, axis=None)) for s in states):
+        return
     if all(np.isfinite(s).all() for s in states):
         return
     bad = np.logical_or.reduce([~np.isfinite(s).all(axis=-1) for s in states])
@@ -172,10 +186,15 @@ def sfs_run(drift_fn, cfg: SfsConfig, increments, start=None, state=None):
     output. Returns the terminal state; see `_integrate` for chunks.
     """
     h, sqrt_beta = cfg.h, np.sqrt(cfg.beta)
+    term = None  # h f, then sqrt(beta) dW: one scratch array for the call, made at its first step
 
     def step(n, dw, y):
-        y += h * drift_fn(y, n * h)  # y is _integrate's copy; the drift's output is never written
-        y += sqrt_beta * dw
+        nonlocal term
+        if term is None:
+            term = np.empty_like(y)
+        # y is _integrate's copy; the drift's output is never written
+        y += np.multiply(drift_fn(y, n * h), h, out=term)
+        y += np.multiply(dw, sqrt_beta, out=term)
         return (y,)
 
     return _integrate(step, h, cfg.n_steps, increments, start, [state], "increments")
@@ -396,14 +415,18 @@ def chains_per_block(cfg, target: TargetSpec) -> int:
     """The chains of one ensemble block: the largest power of two, at most MAX_BLOCK (and
     at least 1), whose widest per-chain array of one step fits BLOCK_BYTES and whose
     increments of one step fit STEP_NOISE_BYTES. Shorter noise chunks would mean more
-    generator calls per step, and rows too short for the noise helper: at d = 100, 1024
-    chains in one block ran 1.5x slower than in two blocks of 512 (2-vCPU machine).
+    generator calls per step: at d = 100, 1024 chains in one block ran 1.5x slower than
+    in two blocks of 512 (2-vCPU machine). A path of d >= HELPER_MIN_DIM whose increments
+    take more than one chunk at HELPER_MAX_CHAINS chains runs in blocks of at most that
+    many, so that a noise helper may share its draws (`increment_chunks`); the steps of
+    a smaller d are too light for the helper to pay for the extra blocks.
 
     Floats per chain: kappa d for the exact drift (kappa mixture components), M max(d,
     kappa + 1) for the Monte Carlo drifts (the pool, or the mixture's forms over it),
     n^d d for n-node quadrature, and kappa d on a mixture (d otherwise) for Langevin. The
-    size depends on the config and the target alone, never on the chain or thread count,
-    and no step reads another chain's row, so it never changes a result.
+    size depends on the config (its step count included) and the target alone, never on
+    the chain or thread count, and no step reads another chain's row, so it never
+    changes a result.
     """
     d = target.dim
     kappa = 0 if target.mixture is None else target.mixture.n_components
@@ -418,6 +441,8 @@ def chains_per_block(cfg, target: TargetSpec) -> int:
     chains = MAX_BLOCK
     while chains > 1 and (chains * width * 8 > BLOCK_BYTES or chains * d * 8 > STEP_NOISE_BYTES):
         chains //= 2
+    if d >= HELPER_MIN_DIM and cfg.n_steps * HELPER_MAX_CHAINS * d * 8 > NOISE_CHUNK_BYTES:
+        chains = min(chains, HELPER_MAX_CHAINS)
     return chains
 
 

@@ -521,8 +521,11 @@ class TestCompare:
         assert "sfs_beta1|sfs_beta2" in summary["w2"]
 
     def test_every_failing_variant_reported(self, tmp_path, capsys):
-        # stein_mc loses all weight mass and gmm_exact diverges: both run, both are named
-        far = {"kind": "gaussian_mixture", "weights": [1.0], "means": [1e200], "covs": [1.0]}
+        # stein_mc loses all weight mass and gmm_exact diverges: both run, both are named.
+        # The mode is split into two halves: the exact drift's log weights, whose square
+        # of the mean overflows, are only formed for more than one component
+        far = {"kind": "gaussian_mixture", "weights": [0.5, 0.5], "means": [1e200, 1e200],
+               "covs": [1.0, 1.0]}
         cfg = write_config(
             tmp_path,
             target=far,

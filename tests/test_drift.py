@@ -232,6 +232,20 @@ class TestComponentMajorDrift:
                 parts = [drift(x[lo : lo + size], t) for lo in range(0, 600, size)]
                 assert np.array_equal(np.concatenate(parts), whole)
 
+    @pytest.mark.parametrize("d", [1, 5, 100])
+    def test_one_component_equals_its_two_halves(self, d):
+        # the one-component path skips the log weight, whose softmax is exactly 1; two
+        # equal halves take the general path with weights exactly 0.5
+        gen = np.random.default_rng(d)
+        mean, var = gen.standard_normal(d), gen.uniform(0.2, 3.0, d)
+        one = GmmExactDrift(make_gaussian_mixture([1.0], [mean], [var]), 1.3)
+        halves = GmmExactDrift(make_gaussian_mixture([0.5, 0.5], [mean, mean], [var, var]), 1.3)
+        assert one.single and not halves.single
+        x = gen.standard_normal((300, d)) * 4.0
+        for t in (0.0, 0.3, 0.5, 0.999):
+            assert one(x, t).tobytes() == halves(x, t).tobytes()
+            assert one(x[7], t).tobytes() == halves(x[7], t).tobytes()
+
 
 class TestSteinMcDrift:
     def test_antithetic_cancellation_constant_g(self):

@@ -46,6 +46,22 @@ class TestSoftmax:
         p = softmax(np.array([1e4, 0.0]))
         assert p == pytest.approx([1.0, 0.0])
 
+    @pytest.mark.parametrize("axis", [0, -1])
+    def test_bytes_equal_the_reference_formula(self, axis):
+        # exp(w - m) / sum, m the max with non-finite maxima set to 0: all-(-inf) slices
+        # give NaN, a +inf logit NaN for its slice, -inf entries weight 0
+        w = np.random.default_rng(2).standard_normal((6, 5)) * 40
+        w[1] = -np.inf
+        w[3, 2] = np.inf
+        w[4, 0] = w[0, 4] = -np.inf
+        m = np.max(w, axis=axis, keepdims=True)
+        m[~np.isfinite(m)] = 0.0
+        with np.errstate(invalid="ignore"):
+            e = np.exp(w - m)
+            expect = e / np.sum(e, axis=axis, keepdims=True)
+            got = softmax(w, axis=axis)
+        assert got.tobytes() == expect.tobytes()
+
 
 class TestGaussHermite:
     def test_single_node_constant(self):

@@ -30,6 +30,10 @@ class TestRngStream:
         philox = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
         assert gen.standard_normal(1000).tobytes() == philox.standard_normal(1000).tobytes()
         assert gen.integers(0, 2**63, 7).tobytes() == philox.integers(0, 2**63, 7).tobytes()
+        # 32-bit draws read the buffered halves of 64-bit words
+        for _ in range(2):
+            small = [g.integers(0, 2**31, 9, dtype=np.uint32).tobytes() for g in (gen, philox)]
+            assert small[0] == small[1]
 
 
 class TestBrownianLadder:

@@ -113,6 +113,36 @@ class TestSfsRun:
         assert err.value.chains == [0, 1]
 
 
+class TestCheckFinite:
+    """One sum per state decides; a non-finite sum falls back to the entry-wise search."""
+
+    def test_finite_states_whose_sum_overflows_pass(self):
+        x = np.full((4, 3), 1e308)
+        m = np.full((4, 3), -1e308)
+        with np.errstate(over="ignore"):  # the sum's overflow is numpy's to report
+            assert not np.isfinite(np.add.reduce(x, axis=None))
+            samplers._check_finite(5, 0.5, x)
+            samplers._check_finite(5, 0.5, m, x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_chains_are_named(self, bad):
+        x, m = np.zeros((6, 3)), np.full((6, 3), 1e308)
+        x[1, 2] = x[4, 0] = bad
+        m[3, 1] = -bad
+        for states, chains in [((x,), [1, 4]), ((m, x), [1, 3, 4]), ((m,), [3])]:
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+                samplers._check_finite(2, 0.25, *states)
+            assert (err.value.step, err.value.t, err.value.chains) == (2, 0.25, chains)
+            assert f"non-finite state at step 2 (t=0.25) in chains {chains}" == str(err.value)
+
+    def test_opposite_infinities_are_named(self):
+        x = np.zeros((3, 2))
+        x[0, 0], x[2, 1] = np.inf, -np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as err:
+            samplers._check_finite(0, 0.1, x)
+        assert err.value.chains == [0, 2]
+
+
 class TestUlaRun:
     def test_zero_gradient_random_walk(self):
         target = zero_grad_target(2)
@@ -894,9 +924,18 @@ class TestBlockSizing:
          (LangevinConfig(step=0.1, horizon=1.0, method="ula"), make_two_mode_gmm(200), 256),
          (SfsConfig(n_steps=10, drift="quadrature"), RING, 32),
          (LangevinConfig(step=0.1, horizon=1.0, method="uld"), FULL_D3, samplers.MAX_BLOCK),
-         (SfsConfig(n_steps=10, drift="grad_mc", n_mc=10**6), make_two_mode_gmm(10), 1)],
+         (SfsConfig(n_steps=10, drift="grad_mc", n_mc=10**6), make_two_mode_gmm(10), 1),
+         (SfsConfig(n_steps=1000), TestSharedDraws.D100, samplers.HELPER_MAX_CHAINS),
+         (SfsConfig(n_steps=40), TestSharedDraws.D100, 512),
+         (SfsConfig(n_steps=41), TestSharedDraws.D100, samplers.HELPER_MAX_CHAINS),
+         (SfsConfig(n_steps=1000), make_gaussian_mixture([0.75, 0.25], [-6.0, 6.0], [0.2, 0.8]),
+          samplers.MAX_BLOCK),
+         (SfsConfig(n_steps=10**4), make_two_mode_gmm(10), 4096),
+         (LangevinConfig(step=0.01, horizon=10.0, method="ula"), make_two_mode_gmm(200), 128)],
         ids=["grad_mc_d10", "ring_stein_mc", "gmm_exact_d1", "gmm_exact_d100", "ula_d200",
-             "quadrature", "uld", "pool_beyond_budget"],
+             "quadrature", "uld", "pool_beyond_budget", "gmm_exact_d100_1000_steps",
+             "gmm_exact_d100_one_helper_chunk", "gmm_exact_d100_two_helper_chunks",
+             "gmm_exact_d1_1000_steps", "gmm_exact_d10_10000_steps", "ula_d200_1000_steps"],
     )
     def test_chains_per_block(self, cfg, target, chains):
         assert samplers.chains_per_block(cfg, target) == chains
@@ -916,3 +955,34 @@ class TestBlockSizing:
             run_ensemble(cfg, target, n, 3, threads=threads)
         strong_error_curve(target, cfg, [0.5, 0.25, 0.125], 3, 300, 3, threads=2)
         assert sizes == [128] * 5
+
+    def test_curve_sizes_blocks_by_its_reference_path(self, monkeypatch):
+        # at d = 100 a 10-step config is one chunk of 512 chains; the curve draws the
+        # 1024-step reference path, whose chunks the helper shares in 128-chain blocks
+        cfg = SfsConfig(n_steps=10)
+        sizes, original = [], samplers.map_blocks
+
+        def recording(fn, n_chains, threads=1, block=samplers.ENSEMBLE_BLOCK):
+            sizes.append(block)
+            return original(fn, n_chains, threads, block)
+
+        monkeypatch.setattr(metrics, "map_blocks", recording)
+        strong_error_curve(TestSharedDraws.D100, cfg, [0.5, 0.25, 0.125], 10, 3, 1)
+        assert samplers.chains_per_block(cfg, TestSharedDraws.D100) == 512
+        assert sizes == [samplers.HELPER_MAX_CHAINS]
+
+    def test_helper_blocks_keep_the_bytes_at_d100(self, monkeypatch, blocks_of):
+        # 600 chains x 1000 steps: 128-chain blocks with a noise helper each, 512-chain
+        # blocks (too many chains for a helper), and 128-chain blocks on one CPU (none)
+        cfg, target = SfsConfig(n_steps=1000), TestSharedDraws.D100
+        helpers = spy_helpers(monkeypatch)
+        pretend_cpus(monkeypatch, 2)
+        sized = run_ensemble(cfg, target, 600, 8).samples
+        assert len(helpers) == 5
+        pretend_cpus(monkeypatch, 1)
+        one_cpu = run_ensemble(cfg, target, 600, 8).samples
+        pretend_cpus(monkeypatch, 2)
+        blocks_of(512)
+        blocks_512 = run_ensemble(cfg, target, 600, 8).samples
+        assert len(helpers) == 6  # the 88-chain block of the 512-chain cut has one too
+        assert sized.tobytes() == one_cpu.tobytes() == blocks_512.tobytes()
