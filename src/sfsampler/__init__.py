@@ -30,7 +30,7 @@ from .metrics import (
     w2_exact_smalln,
 )
 from .numerics import SpdMatrix, gauss_hermite, gauss_hermite_normal, log_sum_exp
-from .rng import BrownianLadder, RngStream, aggregate, brownian_ladder_make
+from .rng import BrownianLadder, RngStream, brownian_ladder_make
 from .samplers import (
     LangevinConfig,
     SampleBatch,

@@ -260,7 +260,7 @@ def strong_error_curve(
     coarsest = min(levels)
     ref_cfg = replace(cfg, n_steps=1 << ref_level)
 
-    def block(ids, workers):  # the block's squared-error sum at each step of h_list
+    def block(ids, workers):  # (B, len(h_list)): each chain's squared error at each step
         streams = open_chains(ref_cfg, target.dim, root_seed, ids)
         drift_fn = make_drift(target, cfg.beta, cfg.drift, pool=streams.pool)
         out = dict.fromkeys([ref_level, *levels])  # each run's state after the chunks so far
@@ -282,10 +282,13 @@ def strong_error_curve(
                                     drift_fn, level_cfg, part, done[level], out[level]
                                 )
                                 done[level] += part.shape[1]
-        return np.array([np.sum((out[level] - out[ref_level]) ** 2) for level in levels])
+        return np.stack([np.sum((out[level] - out[ref_level]) ** 2, axis=-1) for level in levels],
+                        axis=-1)
 
-    sq_sums = sum(map_blocks(block, n_chains, threads, chains_per_block(ref_cfg, target)))
-    rmse = np.sqrt(sq_sums / n_chains)
+    # one sum over all chains in chain order, so the block size never moves the last bit
+    blocks = map_blocks(block, n_chains, threads, chains_per_block(ref_cfg, target))
+    sq_errors = np.concatenate(blocks)
+    rmse = np.sqrt(sq_errors.sum(axis=0) / n_chains)
     h_arr = np.array([2.0 ** (-k) for k in levels])
     order = np.argsort(h_arr)[::-1]
     h_arr, rmse = h_arr[order], rmse[order]

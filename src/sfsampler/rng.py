@@ -10,10 +10,11 @@ momentum init (if any), then the noise pool (if any), then Brownian increments.
 same blocks (`samplers.map_blocks`) and time chunks for the ensemble runner and
 the convergence curve. Consecutive draws from one generator equal one whole
 draw, so results do not depend on the chunk size, and a Brownian ladder drawn
-after the same pool is the same path. A chunk's rows may be drawn by a helper
-thread as well as by the block's own: each row is still one draw from its
-chain's generator, and the chunks are drawn in order, so who draws a row never
-changes a result.
+after the same pool is the same path. Every chunk is drawn one way: its rows
+are handed out from a queue of runs, to the block's own thread and, on a path of
+several chunks, to a helper that draws the next chunk as one future. Each row is
+one call to its chain's generator per chunk, and the chunks are drawn in order,
+so who draws a row never changes a result.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ def _as_generator(rng) -> np.random.Generator:
 class BrownianLadder:
     """2**fine_level Brownian increments over [0, 1] at step 2**(-fine_level).
 
-    Coarser grids are obtained by pairwise aggregation of adjacent increments,
-    never by re-drawing, so coarse and fine paths are coupled pathwise.
+    Coarser grids are pairwise sums of adjacent increments (`halve_increments`),
+    never new draws, so coarse and fine paths are coupled pathwise.
     """
 
     fine_level: int
@@ -99,21 +100,7 @@ def brownian_ladder_make(d, fine_level, rng) -> BrownianLadder:
 
 
 def halve_increments(increments):
-    """Sum adjacent increments along the step axis (second to last axis)."""
+    """Sum adjacent increments along the step axis (second to last axis). Halving
+    repeatedly sums in a fixed binary tree, so the terminal value W_1 is bit-identical
+    at every level."""
     return increments[..., 0::2, :] + increments[..., 1::2, :]
-
-
-def aggregate(ladder: BrownianLadder, coarse_level: int):
-    """Increments at step 2**(-coarse_level), by repeated pairwise summation.
-
-    Summation is a fixed binary tree, so the terminal value W_1 is bit-identical
-    at every level.
-    """
-    if not (0 <= coarse_level <= ladder.fine_level):
-        raise ConfigError(
-            f"coarse_level must be in [0, {ladder.fine_level}], got {coarse_level}"
-        )
-    out = ladder.increments
-    for _ in range(ladder.fine_level - coarse_level):
-        out = halve_increments(out)
-    return out

@@ -7,12 +7,14 @@ Langevin, and BAOAB splitting. Ensembles derive chain i's randomness from
 RngStream(root_seed, i), so results are independent of worker count and
 scheduling; each block draws and integrates its Brownian increments in time
 chunks of at most NOISE_CHUNK_BYTES, so results are independent of the chunk
-length too. When a CPU is free, a helper thread draws the next chunk of a block
-of at most HELPER_MAX_CHAINS chains while the block integrates this one; every
-chain's rows are still one draw from its own generator, in chunk order, so who
-draws a row never changes a result. Blocks are sized by the bytes one chain's
-step touches (`chains_per_block`), and a wide path of several chunks runs in blocks
-small enough for a helper; the size never depends on the chain or worker count.
+length too. Every chunk is drawn one way: a queue of its ROW_RUN-row runs, each
+row one call to its chain's generator. When a CPU is free, a block of at most
+HELPER_MAX_CHAINS chains hands each next chunk's queue to a helper thread as one
+future, drawn while the block integrates this one; the rows are drawn in chunk
+order, so who draws a row never changes a result. Blocks are sized by the bytes
+one chain's step touches (`chains_per_block`), and a wide path of several chunks
+runs in blocks small enough for a helper; the size never depends on the chain or
+worker count.
 """
 
 from __future__ import annotations
@@ -21,11 +23,10 @@ import contextvars
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import dataclass, field
 from functools import partial
-from queue import SimpleQueue
-from threading import Condition, Thread
+from queue import Empty, SimpleQueue
 from typing import Optional
 
 import numpy as np
@@ -47,7 +48,7 @@ NOISE_CHUNK_BYTES = 4 * 2**20
 # the bytes one step's increments may take in a block (`chains_per_block`), so that a
 # chunk holds at least 8 steps
 STEP_NOISE_BYTES = NOISE_CHUNK_BYTES // 8
-# rows of a chunk a thread takes at a time when drawing it: one lock and one scaling each
+# rows of a chunk a thread takes at a time when drawing it: one queue get and one scaling each
 ROW_RUN = 8
 # the most chains of a block whose chunks a helper thread shares: a chunk row then holds
 # about NOISE_CHUNK_BYTES / (8 * 128) = 4096 normals or more (4000 at d = 100), and the
@@ -298,67 +299,19 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _ChunkRows:
-    """One chunk's rows, handed out in runs of ROW_RUN to whichever thread asks next.
-    A thread draws each row i of its run from chain i's generator, then scales the
-    run; `wait` returns once no run is being drawn."""
-
-    def __init__(self, streams: ChainStreams, chunk):
-        self.streams, self.chunk = streams, chunk
-        self.error = None
-        self._next = self._drawing = 0
-        self._cond = Condition()
-
-    def _take(self):
-        with self._cond:
-            lo = self._next
-            self._next = hi = min(lo + ROW_RUN, len(self.chunk))
-            self._drawing += hi > lo
-            return lo, hi
-
-    def _finish(self, error):
-        with self._cond:
-            self.error = self.error or error
-            self._drawing -= 1
-            if not self._drawing:
-                self._cond.notify_all()
-
-    def draw(self):
-        """Draw runs until no row is left."""
-        gens, chunk, scale = self.streams.gens, self.chunk, self.streams.scale
-        while True:
-            lo, hi = self._take()
-            if lo == hi:
-                return
-            try:
-                for i in range(lo, hi):
-                    gens[i].standard_normal(out=chunk[i])
-                chunk[lo:hi] *= scale
-            except BaseException as exc:
-                self._finish(exc)
-                raise
-            self._finish(None)
-
-    def wait(self):
-        """Wait for the runs other threads are drawing; raise what one of them raised."""
-        with self._cond:
-            self._cond.wait_for(lambda: not self._drawing)
-        if self.error is not None:
-            raise self.error
-
-    def stop(self):
-        """Hand out no more rows."""
-        with self._cond:
-            self._next = len(self.chunk)
-
-
-def _draw_jobs(jobs):
-    """A helper thread: draw rows of each chunk put on `jobs` until None arrives."""
-    while (rows := jobs.get()) is not None:
+def _draw_rows(streams: ChainStreams, chunk, runs):
+    """Take the first row of a ROW_RUN-row run of `chunk` off the queue `runs` until it is
+    empty: draw each row i of the run from chain i's generator, then scale the run."""
+    gens, scale = streams.gens, streams.scale
+    while True:
         try:
-            rows.draw()
-        except Exception:  # draw kept it in rows.error, which the caller's wait raises
-            pass
+            lo = runs.get_nowait()
+        except Empty:
+            return
+        hi = min(lo + ROW_RUN, len(chunk))
+        for i in range(lo, hi):
+            gens[i].standard_normal(out=chunk[i])
+        chunk[lo:hi] *= scale
 
 
 def increment_chunks(streams: ChainStreams, n_steps, d, workers=1):
@@ -366,49 +319,47 @@ def increment_chunks(streams: ChainStreams, n_steps, d, workers=1):
     k at a time (fewer in the last chunk), k the most steps (at least one) that fit
     NOISE_CHUNK_BYTES; a chunk stays valid until the next one is asked for.
 
-    The chunks alternate between the two halves of one (B, 2k, d) buffer. If the path
-    has more than one chunk, the block has at most HELPER_MAX_CHAINS chains and the
-    process has more CPUs than `workers` (the block workers running), one helper thread
-    shares the draws: it starts on each chunk as
-    soon as the previous one is handed out, and asking for the chunk draws the rows the
-    helper has not reached and waits for its current run. Otherwise each generator call
-    fills a chain's row of both halves, two chunks at once. A chain's rows are one draw
-    from its generator, in chunk order, so the chunks never depend on who drew them or
-    how many were drawn at once. Close the generator to leave a path early: that stops
-    and joins the helper.
+    The chunks alternate between the two halves of one (B, 2k, d) buffer, and each is
+    drawn from a queue of its ROW_RUN-row runs by `_draw_rows`. If the path has more
+    than one chunk, the block has at most HELPER_MAX_CHAINS chains and the process has
+    more CPUs than `workers` (the block workers running), one helper thread shares the
+    draws: each chunk's queue goes to it as one future as soon as the previous chunk is
+    handed out, and asking for the chunk draws the runs left on the queue, then waits
+    for the future, which raises what the helper raised. A chain's rows of a chunk are
+    one call to its generator, and the chunks are drawn in order, so who draws a row
+    never changes a result. Close the generator to leave a path early: that empties the
+    pending queue and joins the helper.
     """
     b = len(streams.gens)
     k = min(n_steps, max(1, NOISE_CHUNK_BYTES // (b * d * 8)))
     buf = np.empty((b, min(2 * k, n_steps), d))
-    jobs, helper = SimpleQueue(), None
+    helper = None
     if n_steps > k and b <= HELPER_MAX_CHAINS and usable_cpus() > workers:
-        helper = Thread(target=_draw_jobs, args=(jobs,), name="increment-chunks")
-        helper.start()
-    span = k if helper is not None else 2 * k  # steps drawn per generator call
+        helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="increment-chunks")
 
-    def rows_from(start):  # the rows of steps start, ..., in their half (or whole) buffer
+    def next_chunk(start):  # the chunk of steps start, ..., its queue of runs, and its future
         lo = start % (2 * k)
-        return _ChunkRows(streams, buf[:, lo : lo + min(span, n_steps - start)])
+        chunk, runs = buf[:, lo : lo + min(k, n_steps - start)], SimpleQueue()
+        for row in range(0, b, ROW_RUN):
+            runs.put(row)
+        return chunk, runs, helper.submit(_draw_rows, streams, chunk, runs) if helper else None
 
-    rows = rows_from(0)
-    if helper is not None:
-        jobs.put(rows)
+    chunk, runs, pending = next_chunk(0)
     try:
-        for start in range(0, n_steps, span):
-            rows.draw()
-            rows.wait()
-            drawn = rows.chunk
-            if start + span < n_steps:
-                rows = rows_from(start + span)
-                if helper is not None:
-                    jobs.put(rows)
-            for j in range(0, drawn.shape[1], k):
-                yield start + j, drawn[:, j : j + k]
+        for start in range(0, n_steps, k):
+            _draw_rows(streams, chunk, runs)
+            if pending is not None:
+                pending.result()
+            drawn = chunk
+            if start + k < n_steps:
+                chunk, runs, pending = next_chunk(start + k)
+            yield start, drawn
     finally:
         if helper is not None:
-            rows.stop()
-            jobs.put(None)
-            helper.join()
+            with suppress(Empty):  # the helper may take the last run first
+                while True:
+                    runs.get_nowait()
+            helper.shutdown()
 
 
 def chains_per_block(cfg, target: TargetSpec) -> int:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sfsampler import BrownianLadder, RngStream, aggregate, brownian_ladder_make
+from sfsampler import BrownianLadder, RngStream, brownian_ladder_make
 from sfsampler.errors import ConfigError
 from sfsampler.rng import halve_increments
 
@@ -54,25 +54,18 @@ class TestBrownianLadder:
     def test_pairwise_sum_equals_coarse_view(self):
         ladder = brownian_ladder_make(1, 3, RngStream(5, 0))
         fine = ladder.increments
-        coarse = aggregate(ladder, 2)
         expected = fine[0::2] + fine[1::2]
-        assert np.array_equal(coarse, expected)
-
-    def test_aggregate_identity_at_fine_level(self):
-        ladder = brownian_ladder_make(2, 4, RngStream(6, 0))
-        assert np.array_equal(aggregate(ladder, 4), ladder.increments)
-
-    def test_aggregate_to_single_increment(self):
-        ladder = brownian_ladder_make(2, 4, RngStream(7, 0))
-        w1 = aggregate(ladder, 0)
-        assert w1.shape == (1, 2)
+        assert np.array_equal(halve_increments(fine), expected)
 
     def test_telescoping_terminal_sum_bit_exact(self):
         # pairwise-tree summation makes W_1 bit-identical at every level
         ladder = brownian_ladder_make(3, 6, RngStream(8, 0))
-        w1 = np.sum(aggregate(ladder, 0), axis=0)
-        for k in range(ladder.fine_level + 1):
-            coarse = aggregate(ladder, k)
+        levels = [ladder.increments]  # level 6 down to level 0
+        while levels[-1].shape[0] > 1:
+            levels.append(halve_increments(levels[-1]))
+        assert [level.shape for level in levels] == [(2**k, 3) for k in range(6, -1, -1)]
+        w1 = levels[-1][0]
+        for coarse in levels:
             total = coarse
             while total.shape[0] > 1:
                 total = halve_increments(total)
@@ -83,9 +76,6 @@ class TestBrownianLadder:
             brownian_ladder_make(1, -1, RngStream(0, 0))
         with pytest.raises(ConfigError):
             brownian_ladder_make(1, 21, RngStream(0, 0))
-        ladder = brownian_ladder_make(1, 2, RngStream(0, 0))
-        with pytest.raises(ConfigError):
-            aggregate(ladder, 3)
 
     def test_frozen_increments(self):
         ladder = brownian_ladder_make(1, 2, RngStream(0, 0))

@@ -6,6 +6,7 @@ import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from queue import SimpleQueue
 
 import numpy as np
@@ -687,20 +688,26 @@ def pretend_cpus(monkeypatch, n):
 
 
 def spy_helpers(monkeypatch):
-    """The helper threads increment_chunks starts from now on."""
-    started = []
+    """The noise-helper executors increment_chunks makes from now on."""
+    made = []
 
-    class Spy(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
+    class Spy(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            if kwargs.get("thread_name_prefix") == "increment-chunks":
+                made.append(self)
+            super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(samplers, "Thread", Spy)
-    return started
+    monkeypatch.setattr(samplers, "ThreadPoolExecutor", Spy)
+    return made
+
+
+def helper_threads():
+    """The noise-helper threads alive now."""
+    return [t for t in threading.enumerate() if t.name.startswith("increment-chunks")]
 
 
 class TestSharedDraws:
-    """A helper thread draws the next chunk's rows while the block integrates this one."""
+    """A helper future draws the next chunk's rows while the block integrates this one."""
 
     D100 = make_gaussian_mixture(
         [1.0], [np.linspace(-2.0, 2.0, 100)], [np.geomspace(0.25, 4.0, 100)]
@@ -709,7 +716,7 @@ class TestSharedDraws:
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("case", list(TestChunkedIncrements.CASES))
     def test_chunks_equal_serial_draws(self, monkeypatch, case, cpus):
-        # with one CPU each generator call draws two chunks; with two a helper shares them
+        # with one CPU the caller draws every chunk; with two a helper shares them
         cfg, _ = TestChunkedIncrements.CASES[case]
         target = make_two_mode_gmm(3, separation=4.0, variance=0.5)
         pretend_cpus(monkeypatch, cpus)
@@ -773,7 +780,7 @@ class TestSharedDraws:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
             run_ensemble(cfg, runaway, n_chains=8, root_seed=0)
         assert err.value.step < 8  # the path is left before its last chunk
-        assert not any(h.is_alive() for h in helpers)
+        assert len(helpers) == 2 and helper_threads() == []
         assert threading.active_count() == before
 
     def test_no_helper_without_a_free_cpu(self, monkeypatch):
@@ -810,12 +817,14 @@ class TestSharedDraws:
         # the interpreter allows: a row handed out twice, or never, changes the bytes
         cfg, n = SfsConfig(n_steps=3), 20000
         streams = open_chains(cfg, 2, 6, range(n))
-        rows = samplers._ChunkRows(streams, np.empty((n, 3, 2)))
+        chunk, runs = np.empty((n, 3, 2)), SimpleQueue()
+        for lo in range(0, n, samplers.ROW_RUN):  # the first row of each run
+            runs.put(lo)
         start = threading.Barrier(5)
 
         def draw():
             start.wait(timeout=30)
-            rows.draw()
+            samplers._draw_rows(streams, chunk, runs)
 
         threads = [threading.Thread(target=draw) for _ in range(4)]
         interval = sys.getswitchinterval()
@@ -829,23 +838,31 @@ class TestSharedDraws:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        rows.wait()
-        assert rows.chunk.tobytes() == serial_noise(cfg, 2, 6, range(n)).tobytes()
+        assert runs.empty()
+        assert chunk.tobytes() == serial_noise(cfg, 2, 6, range(n)).tobytes()
 
-    def test_helper_error_reaches_the_caller(self):
-        class Failing:
+    def test_helper_error_reaches_the_caller(self, monkeypatch):
+        # the caller's first run waits until the helper's draw has failed, so the
+        # helper surely takes a run; asking for the chunk raises what the helper raised
+        failed = threading.Event()
+
+        class FailingInHelper:
             def standard_normal(self, out):
-                raise RuntimeError("draw failed")
+                if threading.current_thread().name.startswith("increment-chunks"):
+                    failed.set()
+                    raise RuntimeError("draw failed")
+                assert failed.wait(timeout=30)
+                out[...] = 0.0
 
+        pretend_cpus(monkeypatch, 2)
+        chunk_steps(monkeypatch, 20, 1, 2)
+        helpers = spy_helpers(monkeypatch)
         streams = open_chains(SfsConfig(n_steps=4), 1, 0, range(20))
-        streams.gens = [Failing()] * 20
-        rows = samplers._ChunkRows(streams, np.empty((20, 4, 1)))
-        jobs = SimpleQueue()
-        for job in (rows, None):
-            jobs.put(job)
-        samplers._draw_jobs(jobs)  # what the helper thread runs
-        with pytest.raises(RuntimeError, match="draw failed"):
-            rows.wait()
+        streams.gens = [FailingInHelper()] * 20
+        with closing(increment_chunks(streams, 4, 1)) as chunks:
+            with pytest.raises(RuntimeError, match="draw failed"):
+                next(chunks)
+        assert len(helpers) == 1 and helper_threads() == []
 
     def test_workers_keep_the_callers_errstate(self, monkeypatch, blocks_of):
         # ULA at step 5 diverges on the ring, and 1030 chains make three blocks; the
@@ -955,6 +972,16 @@ class TestBlockSizing:
             run_ensemble(cfg, target, n, 3, threads=threads)
         strong_error_curve(target, cfg, [0.5, 0.25, 0.125], 3, 300, 3, threads=2)
         assert sizes == [128] * 5
+
+    def test_block_size_never_changes_the_curve(self, blocks_of):
+        # per-chain squared errors summed in chain order: block sums added in block
+        # order moved the last bit of this curve under both cuts
+        target = make_two_mode_gmm(3, separation=4.0, variance=0.5)
+        cfg, h_list = SfsConfig(n_steps=8), [2.0**-3, 2.0**-4, 2.0**-5]
+        sized = strong_error_curve(target, cfg, h_list, 6, 600, 8).rmse
+        for block in (128, 512):
+            blocks_of(block)
+            assert strong_error_curve(target, cfg, h_list, 6, 600, 8).rmse.tobytes() == sized.tobytes()
 
     def test_curve_sizes_blocks_by_its_reference_path(self, monkeypatch):
         # at d = 100 a 10-step config is one chunk of 512 chains; the curve draws the
