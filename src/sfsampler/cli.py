@@ -36,7 +36,9 @@ from .output import (
 )
 from .rng import RngStream
 from .samplers import LangevinConfig, SfsConfig, run_ensemble
-from .schema import CONFIG_FILE, DRIFT_CHECK, DRIFT_VARIANTS, RUN, SAMPLERS, TARGETS, VARIANT, check
+from .schema import (
+    CONFIG_FILE, DRIFT_CHECK, DRIFT_VARIANTS, POOL_DRIFTS, RUN, SAMPLERS, TARGETS, VARIANT, check,
+)
 from .targets import TargetSpec, target_from_dict
 
 EXIT_OK = 0
@@ -144,12 +146,15 @@ def _build_target(cfg: RunConfig) -> TargetSpec:
     return target_from_dict(doc)
 
 
-def _resolve_drift(cfg: RunConfig, target: TargetSpec) -> str:
-    if cfg.drift != "auto":
-        if cfg.drift == "gmm_exact" and target.mixture is None:
-            raise ConfigError("field 'drift': gmm_exact needs a Gaussian-mixture target")
-        return cfg.drift
+def _auto_drift(target: TargetSpec) -> str:
+    """The drift variant "auto" picks: the closed form on a mixture, stein_mc otherwise."""
     return "gmm_exact" if target.mixture is not None else "stein_mc"
+
+
+def _resolve_drift(cfg: RunConfig, target: TargetSpec) -> str:
+    if cfg.drift == "gmm_exact" and target.mixture is None:
+        raise ConfigError("field 'drift': gmm_exact needs a Gaussian-mixture target")
+    return _auto_drift(target) if cfg.drift == "auto" else cfg.drift
 
 
 def _sfs_steps(h) -> int:
@@ -344,9 +349,9 @@ def cmd_drift_check(args) -> int:
         raise ConfigError(f"field 'x': expected points of dimension {target.dim}, got {doc['x']!r}")
     variant = doc.get("variant", "auto")
     if variant == "auto":
-        variant = "gmm_exact" if target.mixture is not None else "stein_mc"
+        variant = _auto_drift(target)
     pool = None
-    if variant in ("stein_mc", "grad_mc"):
+    if variant in POOL_DRIFTS:
         gen = RngStream(doc.get("seed", 42), 0).generator()
         pool = make_noise_pool(doc.get("M", 200), target.dim, gen,
                                antithetic=doc.get("antithetic", False))

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigError, ZeroMassError
 from .numerics import gauss_hermite_normal, rows_times, shifted_points, softmax, weighted_sum
 from .rng import _as_generator
-from .schema import DRIFT_VARIANTS
+from .schema import DRIFT_VARIANTS, POOL_DRIFTS
 from .targets import GaussianMixture, TargetSpec, _check_beta
 
 
@@ -88,41 +88,38 @@ class GmmExactDrift:
 
     The reference N(0, beta I) is isotropic, so in component i's eigenbasis
     (Sigma_i = Q_i diag(lambda_i) Q_i^T) the smoothed covariance
-    C_i(t) = Q_i diag(c_i) Q_i^T, c_i = t lambda_i + s, s = (1-t) beta, is diagonal. With
-    rotated coordinates x~ = Q_i^T x and alpha~ = Q_i^T alpha_i, the smoothed component mean
-    is u~_i = g_i x~ + h_i and the log weight of component i is
-        sum_d (a_i x~^2 + b_i x~) + k_i,
-    where g_i = lambda_i / c_i, h_i = s alpha~ / c_i, a_i = (lambda_i - beta) / (2 beta c_i),
-    b_i = alpha~ / c_i and k_i = log theta_i - sum_d (log c_i + t alpha~^2 / c_i) / 2. The
-    drift is (sum_i p_i Q_i u~_i - x) / (1 - t), p_i the softmax of the log weights.
+    C_i(t) = Q_i diag(c_i) Q_i^T, c_i = t lambda_i + (1-t) beta, is diagonal. With rotated
+    coordinates x~ = Q_i^T x and alpha~ = Q_i^T alpha_i, and a_i = (lambda_i - beta) / c_i,
+    b_i = beta alpha~ / c_i, component i drives x~ by a_i x~ + b_i, and its log weight is
+        sum_d x~ (a_i x~ / 2 + b_i) / beta + k_i,
+    k_i = log theta_i - sum_d (log c_i + t alpha~^2 / c_i) / 2. The drift is sum_i p_i Q_i (a_i x~ + b_i), p_i the softmax of the log weights. As the
+    p_i sum to 1 this is the smoothed mean's (sum_i p_i Q_i u~_i - x) / (1 - t) with the
+    division done by hand, so nothing cancels as t -> 1.
 
     The (kappa, d) coefficients depend on t alone and are built once per call. The log
     weights form one (kappa, B) array, one row per component from elementwise work on
     (B, d) arrays, and the softmax reduces over its first axis. With every covariance
-    diagonal (no rotations) the mean is x * sum_i p_i g_i + sum_i p_i h_i, accumulated in
+    diagonal (no rotations) the drift is x * sum_i p_i a_i + sum_i p_i b_i, accumulated in
     component order; otherwise x~ for all components comes from one rotation and the
-    weighted u~_i are rotated back by another. No product runs across the chain axis, so a
-    chain's drift does not depend on how many chains share the call.
+    weighted a_i x~ + b_i are rotated back by another. No product runs across the chain
+    axis, so a chain's drift does not depend on how many chains share the call.
 
-    One diagonal component has weight p_1 = 1: the softmax of one finite log weight is
-    exactly 1, so x * g_1 + h_1 gives the general path's bytes without forming the log
-    weight. Where that weight would overflow (x or the mean beyond about 1e154), the
-    general path gives NaN and this one the finite drift.
+    One component has weight p_1 = 1 (the softmax of one finite log weight is exactly 1),
+    so its log weight is never formed. Where that weight would overflow (x beyond about
+    1e154) a mixture's drift is NaN and a single Gaussian's stays finite.
     """
 
     def __init__(self, target, beta):
         gmm = target.mixture if isinstance(target, TargetSpec) else target
         if not isinstance(gmm, GaussianMixture):
             raise ConfigError("exact drift requires a Gaussian-mixture target")
-        self.beta = _check_beta(beta)
+        self.beta = beta = _check_beta(beta)
         self.sig = gmm.eigvals                       # (kappa, d)
-        alpha = gmm.rotated_means                    # (kappa, d)
+        self.alpha = gmm.rotated_means               # (kappa, d)
         self.log_theta = np.log(gmm.weights)
-        # divided by c they give a, b, g and alpha~^2 / c
-        self.numerators = np.stack([(self.sig - self.beta) / (2.0 * self.beta), alpha,
-                                    self.sig, alpha**2])
+        # divided by c they give a and b
+        self.sig_gap, self.beta_alpha = self.sig - beta, beta * self.alpha
         self.diagonal = gmm.rotations is None
-        self.single = self.diagonal and gmm.n_components == 1
         if not self.diagonal:
             # x @ rot_in stacks x Q_i over components; w @ rot_in.T sums w_i Q_i^T
             self.rot_in = np.concatenate(gmm.rotations, axis=1)   # (d, kappa d)
@@ -131,46 +128,38 @@ class GmmExactDrift:
         t = _check_t(t)
         x = np.asarray(x, dtype=float)
         kappa, d = self.sig.shape
-        s = (1.0 - t) * self.beta
         # (kappa, d) coefficients of t alone
-        c = t * self.sig + s
+        c = t * self.sig + (1.0 - t) * self.beta
+        a, b = self.sig_gap / c, self.beta_alpha / c
         xf = x.reshape(-1, d)
-        if self.single:
-            lin, g = self.numerators[1:3] / c
-            mean = xf * g[0]
-            mean += s * lin[0]
-            mean -= xf
-            mean /= 1.0 - t
-            return mean.reshape(x.shape)
-        quad, lin, g, alpha_sq = self.numerators / c
-        h = s * lin
-        const = self.log_theta - 0.5 * np.sum(t * alpha_sq + np.log(c), axis=-1)
-        if self.diagonal:
-            rotated = [xf] * kappa
-        else:
+        if not self.diagonal:
             xr = rows_times(xf, self.rot_in).reshape(-1, kappa, d)
-            rotated = [xr[:, i] for i in range(kappa)]
-        logw = np.empty((kappa, xf.shape[0]))
-        for i, xt in enumerate(rotated):
-            v = quad[i] * xt
-            v += lin[i]
-            np.einsum("nd,nd->n", v, xt, out=logw[i])
-        logw += const[:, None]
-        p = softmax(logw, axis=0)
+        if kappa > 1:
+            const = self.log_theta - 0.5 * np.sum(t * self.alpha**2 / c + np.log(c), axis=-1)
+            half_a = 0.5 * a
+            logw = np.empty((kappa, xf.shape[0]))
+            for i in range(kappa):
+                xt = xf if self.diagonal else xr[:, i]
+                v = half_a[i] * xt
+                v += b[i]
+                np.einsum("nd,nd->n", v, xt, out=logw[i])
+            logw /= self.beta
+            logw += const[:, None]
+            p = softmax(logw, axis=0)
         if self.diagonal:
-            gm, hm = p[0][:, None] * g[0], p[0][:, None] * h[0]
+            am, bm = (a[0], b[0]) if kappa == 1 else (p[0][:, None] * a[0], p[0][:, None] * b[0])
             for i in range(1, kappa):
-                gm += p[i][:, None] * g[i]
-                hm += p[i][:, None] * h[i]
-            mean = xf * gm
-            mean += hm
+                am += p[i][:, None] * a[i]
+                bm += p[i][:, None] * b[i]
+            drift = xf * am
+            drift += bm
         else:
-            u = xr * g + h
-            u *= p.T[:, :, None]
-            mean = rows_times(u.reshape(-1, kappa * d), self.rot_in.T)
-        mean -= xf
-        mean /= 1.0 - t
-        return mean.reshape(x.shape)
+            u = xr * a
+            u += b
+            if kappa > 1:
+                u *= p.T[:, :, None]
+            drift = rows_times(u.reshape(-1, kappa * d), self.rot_in.T)
+        return drift.reshape(x.shape)
 
 
 class SteinMcDrift:
@@ -218,12 +207,8 @@ class SteinMcDrift:
         if self.form == "grad":
             return beta * weighted_grad(p)
         if self.pool.antithetic:
-            # sum negation pairs first so a uniform-weight mean is exactly zero; both sums
-            # run along the pool axis of the evaluator's pool-axis-last copy
-            xi_t = self.evaluator.xi_t
-            paired = p[..., None, 0::2] * xi_t[..., 0::2]
-            paired += p[..., None, 1::2] * xi_t[..., 1::2]
-            num = np.sum(paired, axis=-1)
+            # xi_{2j+1} = -xi_{2j}: one sum of pair differences, exactly zero for uniform weights
+            num = weighted_sum(p[..., 0::2] - p[..., 1::2], self.pool.xi[..., 0::2, :])
         else:
             num = weighted_sum(p, self.pool.xi)
         return np.sqrt(beta / (1.0 - t)) * num
@@ -266,7 +251,7 @@ def make_drift(target: TargetSpec, beta, variant, pool=None, n_nodes=QUADRATURE_
     """Build a drift evaluator f(x, t) of the requested variant."""
     if variant == "gmm_exact":
         return GmmExactDrift(target, beta)
-    if variant in ("stein_mc", "grad_mc"):
+    if variant in POOL_DRIFTS:
         if pool is None:
             raise ConfigError(f"variant '{variant}' requires a noise pool")
         form = "stein" if variant == "stein_mc" else "grad"

@@ -6,15 +6,15 @@ Baselines: overdamped Langevin (ULA), the Euler scheme for underdamped
 Langevin, and BAOAB splitting. Ensembles derive chain i's randomness from
 RngStream(root_seed, i), so results are independent of worker count and
 scheduling; each block draws and integrates its Brownian increments in time
-chunks of at most NOISE_CHUNK_BYTES, so results are independent of the chunk
-length too. Every chunk is drawn one way: a queue of its ROW_RUN-row runs, each
-row one call to its chain's generator. When a CPU is free, a block of at most
-HELPER_MAX_CHAINS chains hands each next chunk's queue to a helper thread as one
-future, drawn while the block integrates this one; the rows are drawn in chunk
-order, so who draws a row never changes a result. Blocks are sized by the bytes
-one chain's step touches (`chains_per_block`), and a wide path of several chunks
-runs in blocks small enough for a helper; the size never depends on the chain or
-worker count.
+chunks held in one buffer of at most 2 NOISE_CHUNK_BYTES, so results are
+independent of the chunk length too. Every chunk is drawn one way: a queue of its
+ROW_RUN-row runs, each row one call to its chain's generator. When a CPU is free,
+a block of at most HELPER_MAX_CHAINS chains hands each next chunk's queue to a
+helper thread as one future, drawn into one half of the buffer while the block
+integrates the other; the rows are drawn in chunk order, so who draws a row never
+changes a result. Blocks are sized by the bytes one chain's step touches
+(`chains_per_block`), and a wide path of several chunks runs in blocks small
+enough for a helper; the size never depends on the chain or worker count.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import numpy as np
 from .drift import QUADRATURE_NODES, NoisePool, draw_noise_pools, make_drift
 from .errors import ConfigError, DivergenceError, NumericalError, ZeroMassError
 from .rng import RngStream
+from .schema import POOL_DRIFTS
 from .targets import TargetSpec, _check_beta, grad_potential
 
 # chains per block of `map_blocks` when the caller gives no size
@@ -42,8 +43,9 @@ ENSEMBLE_BLOCK = 512
 # chains a block holds (`chains_per_block`)
 BLOCK_BYTES = 2 * 2**20
 MAX_BLOCK = 8192
-# bytes of Brownian increments per chunk buffer (a block holds two): a longer path
-# is drawn and integrated in time chunks, which never changes the result
+# bytes of Brownian increments per chunk a noise helper shares; a block's buffer holds
+# two, and with no helper one chunk fills it: a longer path is drawn and integrated in
+# time chunks, which never changes the result
 NOISE_CHUNK_BYTES = 4 * 2**20
 # the bytes one step's increments may take in a block (`chains_per_block`), so that a
 # chunk holds at least 8 steps
@@ -281,7 +283,7 @@ def open_chains(cfg, d, root_seed, chain_ids) -> ChainStreams:
     block's one (B, M, d) array; increments come next."""
     if isinstance(cfg, SfsConfig):
         scale = np.sqrt(cfg.h)
-        momentum, needs_pool = False, cfg.drift in ("stein_mc", "grad_mc")
+        momentum, needs_pool = False, cfg.drift in POOL_DRIFTS
     else:
         scale = 1.0 if cfg.method == "baoab" else np.sqrt(cfg.step)
         momentum, needs_pool = cfg.draw_momentum, False
@@ -316,19 +318,21 @@ def _draw_rows(streams: ChainStreams, chunk, runs):
 
 def increment_chunks(streams: ChainStreams, n_steps, d, workers=1):
     """Yield (start, chunk): every chain's increments for the global steps start, ...,
-    k at a time (fewer in the last chunk), k the most steps (at least one) that fit
-    NOISE_CHUNK_BYTES; a chunk stays valid until the next one is asked for.
+    chunk by chunk; a chunk stays valid until the next one is asked for.
 
-    The chunks alternate between the two halves of one (B, 2k, d) buffer, and each is
-    drawn from a queue of its ROW_RUN-row runs by `_draw_rows`. If the path has more
-    than one chunk, the block has at most HELPER_MAX_CHAINS chains and the process has
-    more CPUs than `workers` (the block workers running), one helper thread shares the
-    draws: each chunk's queue goes to it as one future as soon as the previous chunk is
-    handed out, and asking for the chunk draws the runs left on the queue, then waits
-    for the future, which raises what the helper raised. A chain's rows of a chunk are
-    one call to its generator, and the chunks are drawn in order, so who draws a row
-    never changes a result. Close the generator to leave a path early: that empties the
-    pending queue and joins the helper.
+    The chunks are drawn into one (B, 2k, d) buffer, k the most steps (at least one)
+    that fit NOISE_CHUNK_BYTES, each from a queue of its ROW_RUN-row runs by
+    `_draw_rows`. If the path has more than one chunk, the block has at most
+    HELPER_MAX_CHAINS chains and the process has more CPUs than `workers` (the block
+    workers running), one helper thread shares the draws, and k-step chunks alternate
+    between the buffer's halves: each chunk's queue goes to the helper as one future as
+    soon as the previous chunk is handed out, and asking for the chunk draws the runs
+    left on the queue, then waits for the future, which raises what the helper raised.
+    With no helper no chunk is drawn while another is in use, so each fills the whole
+    buffer, at half the generator calls. A chain's rows of a chunk are one call to its
+    generator, and the chunks are drawn in order, so who draws a row never changes a
+    result. Close the generator to leave a path early: that empties the pending queue
+    and joins the helper.
     """
     b = len(streams.gens)
     k = min(n_steps, max(1, NOISE_CHUNK_BYTES // (b * d * 8)))
@@ -336,9 +340,10 @@ def increment_chunks(streams: ChainStreams, n_steps, d, workers=1):
     helper = None
     if n_steps > k and b <= HELPER_MAX_CHAINS and usable_cpus() > workers:
         helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="increment-chunks")
+    k = buf.shape[1] if helper is None else k
 
     def next_chunk(start):  # the chunk of steps start, ..., its queue of runs, and its future
-        lo = start % (2 * k)
+        lo = start % buf.shape[1]
         chunk, runs = buf[:, lo : lo + min(k, n_steps - start)], SimpleQueue()
         for row in range(0, b, ROW_RUN):
             runs.put(row)
@@ -475,7 +480,7 @@ def run_ensemble(cfg, target: TargetSpec, n_chains, root_seed, threads=1) -> Sam
         "target": target.kind,
         "beta": cfg.beta if sfs else None,
         "h": cfg.h if sfs else cfg.step,
-        "M": cfg.n_mc if sfs and cfg.drift in ("stein_mc", "grad_mc") else None,
+        "M": cfg.n_mc if sfs and cfg.drift in POOL_DRIFTS else None,
         "seed": int(root_seed),
         "n_chains": int(n_chains),
         "dim": target.dim,

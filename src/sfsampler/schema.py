@@ -19,7 +19,8 @@ from .errors import ConfigError
 from .numerics import MAX_GH_NODES
 from .rng import MAX_LADDER_LEVEL
 
-DRIFT_VARIANTS = ("gmm_exact", "stein_mc", "grad_mc", "quadrature")
+POOL_DRIFTS = ("stein_mc", "grad_mc")  # the variants that draw a noise pool of size M per chain
+DRIFT_VARIANTS = ("gmm_exact", *POOL_DRIFTS, "quadrature")
 SAMPLERS = ("sfs", "ula", "uld", "baoab")
 
 

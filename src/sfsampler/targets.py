@@ -271,13 +271,11 @@ class MixturePoolEvaluator(PoolEvaluator):
     w_ij = v_j pi_i(y_j), V = sum_j v_j and W_i = sum_j w_ij it is
         (V x + r sum_j v_j xi_j) / beta - sum_i P_i (W_i (x - alpha_i) + r sum_j w_ij xi_j),
     one more batched mat-vec. No (..., M, d) array is built per step, so the evaluator
-    keeps no pool-axis-last copy: xi_t is the view of the rows xi, and both products read
-    the rows as stored.
+    keeps no pool-axis-last copy: both products read the rows xi as stored.
     """
 
     def __init__(self, target: TargetSpec, beta, xi):
         self.target, self.beta, self.xi = target, _check_beta(beta), xi
-        self.xi_t = np.swapaxes(xi, -1, -2)
         gmm = self.gmm = target.mixture
         k = gmm.n_components
         # the forms' quadratic parts: -xi_j^T P_i xi_j / 2 per component, then ||xi_j||^2 / (2 beta)
@@ -312,7 +310,7 @@ class MixturePoolEvaluator(PoolEvaluator):
         offset = np.concatenate(
             [self.log_coef - 0.5 * np.einsum("...kd,...kd->...k", diff, prec_diff),
              _sq_norm(x)[..., None] / (2.0 * beta)], axis=-1)
-        forms = lin @ self.xi_t                                       # (..., kappa + 1, M)
+        forms = lin @ np.swapaxes(self.xi, -1, -2)                    # (..., kappa + 1, M)
         forms += offset[..., None]
         for i in range(k + 1):  # row by row: no second (..., kappa + 1, M) temporary
             forms[..., i, :] += s * self.quad[..., i, :]
@@ -390,7 +388,8 @@ def make_two_mode_gmm(d, **params) -> TargetSpec:
 def _make_gaussian_mixture(weights, means, covs, rho):
     """The mixture, given parameters that passed the table: the checks left tie fields together."""
     weights = np.asarray(weights, dtype=float)
-    total = float(weights.sum())
+    with np.errstate(over="ignore"):  # a sum beyond the float range is inf, rejected below
+        total = float(weights.sum())
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ConfigError(f"target field 'weights': must sum to 1 within {WEIGHT_SUM_TOL}, got {total}")
     weights = weights / total

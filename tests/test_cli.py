@@ -178,7 +178,9 @@ class TestConfigHandling:
          ("two_mode_gmm", "d", 2.5),
          ("two_mode_gmm", "separation", "far"),
          ("two_mode_gmm", "separation", float("nan")),
-         ("two_mode_gmm", "variance", float("inf"))],
+         ("two_mode_gmm", "variance", float("inf")),
+         ("gaussian_mixture", "weights", [1e308, 1e308]),
+         ("two_mode_gmm", "weights", [1e308, 1e308])],
     )
     def test_bad_target_parameter_named(self, tmp_path, capsys, kind, field, value):
         # JSON NaN and Infinity included: they are config errors, not numerical failures

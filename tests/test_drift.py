@@ -155,6 +155,21 @@ class TestGmmExactDrift:
             GmmExactDrift(ring, 1.0)(np.zeros(2), 0.5)
 
 
+def solve_long_double(a, b):
+    """a^{-1} b in long double by Gaussian elimination, for an SPD a and columns b."""
+    a, b = a.copy(), b.copy()
+    n = len(a)
+    for i in range(n):
+        for j in range(i + 1, n):
+            f = a[j, i] / a[i, i]
+            a[j] -= f * a[i]
+            b[j] -= f * b[i]
+    out = np.zeros_like(b)
+    for i in reversed(range(n)):
+        out[i] = (b[i] - a[i, i + 1 :] @ out[i + 1 :]) / a[i, i]
+    return out
+
+
 def smoothed_mixture_drift(target, beta, x, t):
     """The exact drift from its definition, one component at a time.
 
@@ -240,11 +255,34 @@ class TestComponentMajorDrift:
         mean, var = gen.standard_normal(d), gen.uniform(0.2, 3.0, d)
         one = GmmExactDrift(make_gaussian_mixture([1.0], [mean], [var]), 1.3)
         halves = GmmExactDrift(make_gaussian_mixture([0.5, 0.5], [mean, mean], [var, var]), 1.3)
-        assert one.single and not halves.single
         x = gen.standard_normal((300, d)) * 4.0
         for t in (0.0, 0.3, 0.5, 0.999):
             assert one(x, t).tobytes() == halves(x, t).tobytes()
             assert one(x[7], t).tobytes() == halves(x[7], t).tobytes()
+
+    @pytest.mark.parametrize("rotated", [False, True], ids=["diagonal_d100", "rotated_d3"])
+    def test_last_step_matches_a_long_double_closed_form(self, rotated):
+        # one Gaussian's drift is C^{-1} ((Sigma - beta I) x + beta alpha), C = t Sigma + s I;
+        # at t = 1 - 2^-12 a drift formed as (mean - x) / (1 - t) loses 12 bits
+        gen = np.random.default_rng(40)
+        if rotated:
+            q, _ = np.linalg.qr(gen.standard_normal((3, 3)))
+            cov = (q * np.array([0.3, 1.0, 2.5])) @ q.T
+            cov = 0.5 * (cov + cov.T)
+            mean = np.array([1.0, -2.0, 0.5])
+        else:
+            cov, mean = np.geomspace(0.25, 4.0, 100), np.linspace(-2.0, 2.0, 100)
+        target = make_gaussian_mixture([1.0], [mean], [cov])
+        d, beta, t = target.dim, 1.5, 1.0 - 2.0**-12
+        assert GmmExactDrift(target, beta).diagonal != rotated
+        x = gen.standard_normal((64, d)) * 3.0
+        sigma = np.diag(cov) if cov.ndim == 1 else cov
+        ld = lambda a: np.asarray(a, dtype=np.longdouble)
+        c = ld(t) * ld(sigma) + (1 - ld(t)) * ld(beta) * np.eye(d, dtype=np.longdouble)
+        rhs = ld(x) @ (ld(sigma) - ld(beta) * np.eye(d, dtype=np.longdouble)) + ld(beta) * ld(mean)
+        exact = solve_long_double(c, rhs.T).T
+        err = np.max(np.abs(GmmExactDrift(target, beta)(x, t) - exact), axis=-1)
+        assert np.all(err <= 1e-14 * np.maximum(np.max(np.abs(x), axis=-1), 1.0))
 
 
 class TestSteinMcDrift:
@@ -267,6 +305,19 @@ class TestSteinMcDrift:
         pool = make_noise_pool(64, 2, RngStream(3, 0), antithetic=True)
         f = SteinMcDrift(t, beta, pool)(np.array([0.7, -1.0]), 0.4)
         assert f == pytest.approx([0.0, 0.0], abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["ring", "mixture"])
+    def test_antithetic_sum_equals_the_sum_over_every_row(self, kind):
+        # the antithetic pool's sum of pair differences against the plain weighted sum
+        # over the same rows, each pair's odd row being the even one negated
+        target = make_builtin("ring") if kind == "ring" else five_d_mixture()
+        anti = stacked_pool(32, 40, target.dim, antithetic=True)
+        plain = NoisePool(xi=anti.xi, antithetic=False)
+        x = np.random.default_rng(9).standard_normal((32, target.dim)) * 2.0
+        for t in (0.0, 0.5, 0.99):
+            got = SteinMcDrift(target, 1.0, anti)(x, t)
+            expect = SteinMcDrift(target, 1.0, plain)(x, t)
+            assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
     def test_large_pool_approaches_constant_drift(self):
         alpha, beta, M = 1.5, 2.0, 4096

@@ -471,7 +471,8 @@ class TestRunEnsemble:
 
 
 def chunk_steps(monkeypatch, n_chains, dim, steps):
-    """Make run_ensemble draw and integrate `steps`-step chunks."""
+    """Make run_ensemble draw and integrate `steps`-step chunks (twice that long where no
+    noise helper shares the draws)."""
     monkeypatch.setattr(samplers, "NOISE_CHUNK_BYTES", n_chains * dim * 8 * steps)
 
 
@@ -508,6 +509,7 @@ class TestChunkedIncrements:
         cfg, integrator = self.CASES[case]
         target = make_two_mode_gmm(3, separation=4.0, variance=0.5)
         whole = run_ensemble(cfg, target, n_chains=5, root_seed=12).samples
+        pretend_cpus(monkeypatch, 2)  # a helper shares the draws, so chunks take `steps` steps
         chunk_steps(monkeypatch, 5, target.dim, steps)
         seen = record_runs(monkeypatch, samplers, integrator)
         chunked = run_ensemble(cfg, target, n_chains=5, root_seed=12).samples
@@ -572,6 +574,7 @@ class TestChunkedIncrements:
         target = make_two_mode_gmm(2, separation=3.0, variance=0.5)
         level, n = 5, 3
         cfg = SfsConfig(n_steps=2**level, drift="stein_mc", n_mc=8)
+        pretend_cpus(monkeypatch, 2)  # a helper shares the draws, so chunks take 3 steps
         chunk_steps(monkeypatch, n, target.dim, 3)
         streamed = record_runs(monkeypatch, samplers, "sfs_run")
         run_ensemble(cfg, target, n_chains=n, root_seed=21)
@@ -602,6 +605,7 @@ class TestChunkedIncrements:
         target, cfg = self.CURVES[case]
         h_list, ref_level, n = [2.0**-3, 2.0**-4, 2.0**-5], 6, 6
         whole = strong_error_curve(target, cfg, h_list, ref_level, n, 8)
+        pretend_cpus(monkeypatch, 2)  # a helper shares the draws, so chunks take `steps` steps
         chunk_steps(monkeypatch, n, target.dim, steps)
         runs = record_runs(monkeypatch, metrics, "sfs_run")
         chunked = strong_error_curve(target, cfg, h_list, ref_level, n, 8)
@@ -716,7 +720,8 @@ class TestSharedDraws:
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("case", list(TestChunkedIncrements.CASES))
     def test_chunks_equal_serial_draws(self, monkeypatch, case, cpus):
-        # with one CPU the caller draws every chunk; with two a helper shares them
+        # with one CPU the caller draws every chunk, each filling the buffer of two; with
+        # two a helper shares them, each filling half of it
         cfg, _ = TestChunkedIncrements.CASES[case]
         target = make_two_mode_gmm(3, separation=4.0, variance=0.5)
         pretend_cpus(monkeypatch, cpus)
@@ -725,7 +730,8 @@ class TestSharedDraws:
         streams = open_chains(cfg, target.dim, 12, range(5))
         chunks = [(start, c.copy()) for start, c in increment_chunks(streams, 20, target.dim)]
         lengths = [(start, c.shape[1]) for start, c in chunks]
-        assert lengths == [(s, min(3, 20 - s)) for s in range(0, 20, 3)]
+        k = 6 if cpus == 1 else 3
+        assert lengths == [(s, min(k, 20 - s)) for s in range(0, 20, k)]
         assert len(helpers) == cpus - 1
         noise = np.concatenate([c for _, c in chunks], axis=1)
         assert noise.tobytes() == serial_noise(cfg, target.dim, 12, range(5)).tobytes()
