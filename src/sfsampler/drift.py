@@ -96,20 +96,28 @@ class GmmExactDrift:
     p_i sum to 1 this is the smoothed mean's (sum_i p_i Q_i u~_i - x) / (1 - t) with the
     division done by hand, so nothing cancels as t -> 1.
 
-    The (kappa, d) coefficients depend on t alone and are built once per call. The log
-    weights form one (kappa, B) array, one row per component from elementwise work on
-    (B, d) arrays, and the softmax reduces over its first axis. With every covariance
-    diagonal (no rotations) the drift is x * sum_i p_i a_i + sum_i p_i b_i, accumulated in
-    component order; otherwise x~ for all components comes from one rotation and the
-    weighted a_i x~ + b_i are rotated back by another. No product runs across the chain
-    axis, so a chain's drift does not depend on how many chains share the call.
+    The (kappa, d) coefficients depend on t alone. Given the grid t_n = n h, h = 1 / n_steps,
+    that `samplers.sfs_run` steps on, they are built for many grid times in one
+    vectorised pass (`_coefficients`) and looked up by t: one slice of consecutive steps
+    is kept, built when a call first needs it and as long as fits STEP_NOISE_BYTES, with
+    a and b alone for one component. A time off the grid (or any time, with no grid) goes
+    through the same function on [t] alone, so a table hit and a direct call give the same
+    bytes.
+
+    The log weights form one (kappa, B) array, one row per component from elementwise
+    work on (B, d) arrays, and the softmax reduces over its first axis. With every
+    covariance diagonal (no rotations) the drift is x * sum_i p_i a_i + sum_i p_i b_i,
+    each sum one einsum over the components; otherwise x~ for all components comes from
+    one rotation and the weighted a_i x~ + b_i are rotated back by another. No product
+    runs across the chain axis, so a chain's drift does not depend on how many chains
+    share the call.
 
     One component has weight p_1 = 1 (the softmax of one finite log weight is exactly 1),
     so its log weight is never formed. Where that weight would overflow (x beyond about
     1e154) a mixture's drift is NaN and a single Gaussian's stays finite.
     """
 
-    def __init__(self, target, beta):
+    def __init__(self, target, beta, n_steps=None):
         gmm = target.mixture if isinstance(target, TargetSpec) else target
         if not isinstance(gmm, GaussianMixture):
             raise ConfigError("exact drift requires a Gaussian-mixture target")
@@ -123,20 +131,44 @@ class GmmExactDrift:
         if not self.diagonal:
             # x @ rot_in stacks x Q_i over components; w @ rot_in.T sums w_i Q_i^T
             self.rot_in = np.concatenate(gmm.rotations, axis=1)   # (d, kappa d)
+        from .samplers import STEP_NOISE_BYTES  # samplers imports this module
+        step_bytes = sum(v.nbytes for v in self._coefficients(np.zeros(1)))
+        self.n_steps, self.slice_steps = n_steps, max(1, STEP_NOISE_BYTES // step_bytes)
+        self.table = None, ()   # the first step and the coefficients of the slice built last
+
+    def _coefficients(self, t):
+        """For times t (n,): a and b as (n, kappa, d) arrays, and with several components
+        the log-weight constants k (n, kappa) and a / 2."""
+        t = t[:, None, None]
+        c = t * self.sig
+        c += (1.0 - t) * self.beta
+        a = self.sig_gap / c
+        logw_terms = () if len(self.sig) == 1 else (
+            self.log_theta - 0.5 * np.sum(t * self.alpha**2 / c + np.log(c), axis=-1), 0.5 * a)
+        return (a, np.divide(self.beta_alpha, c, out=c), *logw_terms)   # b takes the buffer of c
+
+    def _at(self, t):
+        """The coefficients at time t: a row of the grid's table, or built for t alone."""
+        n = round(t * self.n_steps) if self.n_steps else -1
+        if not (0 <= n < self.n_steps and n * (1.0 / self.n_steps) == t):
+            return [v[0] for v in self._coefficients(np.array([t]))]
+        lo, table = n - n % self.slice_steps, self.table   # one slice read, even if shared
+        if table[0] != lo:
+            self.table = table = None, ()   # the old slice is freed before the next is built
+            steps = np.arange(lo, min(lo + self.slice_steps, self.n_steps))
+            table = self.table = lo, self._coefficients(steps * (1.0 / self.n_steps))
+        return [v[n - lo] for v in table[1]]
 
     def __call__(self, x, t):
         t = _check_t(t)
         x = np.asarray(x, dtype=float)
         kappa, d = self.sig.shape
-        # (kappa, d) coefficients of t alone
-        c = t * self.sig + (1.0 - t) * self.beta
-        a, b = self.sig_gap / c, self.beta_alpha / c
+        a, b, *logw_terms = self._at(t)
         xf = x.reshape(-1, d)
         if not self.diagonal:
             xr = rows_times(xf, self.rot_in).reshape(-1, kappa, d)
         if kappa > 1:
-            const = self.log_theta - 0.5 * np.sum(t * self.alpha**2 / c + np.log(c), axis=-1)
-            half_a = 0.5 * a
+            const, half_a = logw_terms
             logw = np.empty((kappa, xf.shape[0]))
             for i in range(kappa):
                 xt = xf if self.diagonal else xr[:, i]
@@ -147,10 +179,8 @@ class GmmExactDrift:
             logw += const[:, None]
             p = softmax(logw, axis=0)
         if self.diagonal:
-            am, bm = (a[0], b[0]) if kappa == 1 else (p[0][:, None] * a[0], p[0][:, None] * b[0])
-            for i in range(1, kappa):
-                am += p[i][:, None] * a[i]
-                bm += p[i][:, None] * b[i]
+            am, bm = (a[0], b[0]) if kappa == 1 else (np.einsum("kn,kd->nd", p, a),
+                                                      np.einsum("kn,kd->nd", p, b))
             drift = xf * am
             drift += bm
         else:
@@ -247,10 +277,12 @@ class QuadratureDrift:
         return np.sqrt(beta / (1.0 - t)) * (self.nodes @ p[..., :, None])[..., 0]
 
 
-def make_drift(target: TargetSpec, beta, variant, pool=None, n_nodes=QUADRATURE_NODES):
-    """Build a drift evaluator f(x, t) of the requested variant."""
+def make_drift(target: TargetSpec, beta, variant, pool=None, n_nodes=QUADRATURE_NODES,
+               n_steps=None):
+    """Build a drift evaluator f(x, t) of the requested variant; the exact drift builds its
+    time coefficients once for the grid of n_steps steps, if given."""
     if variant == "gmm_exact":
-        return GmmExactDrift(target, beta)
+        return GmmExactDrift(target, beta, n_steps)
     if variant in POOL_DRIFTS:
         if pool is None:
             raise ConfigError(f"variant '{variant}' requires a noise pool")

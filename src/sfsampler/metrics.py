@@ -262,7 +262,9 @@ def strong_error_curve(
 
     def block(ids, workers):  # (B, len(h_list)): each chain's squared error at each step
         streams = open_chains(ref_cfg, target.dim, root_seed, ids)
-        drift_fn = make_drift(target, cfg.beta, cfg.drift, pool=streams.pool)
+        # every coarse level's t is a time of the reference grid
+        drift_fn = make_drift(target, cfg.beta, cfg.drift, pool=streams.pool,
+                              n_steps=ref_cfg.n_steps)
         out = dict.fromkeys([ref_level, *levels])  # each run's state after the chunks so far
         done = dict.fromkeys(out, 0)                # and its steps so far
         carry = dict.fromkeys(range(coarsest, ref_level))  # an unpaired finer increment

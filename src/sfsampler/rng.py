@@ -1,8 +1,9 @@
 """Deterministic, refinable randomness.
 
-Counter-based (Philox) streams keyed by (root_seed, stream_id), so ensemble
-results do not depend on execution order, plus dyadically refinable Brownian
-increments for coupled coarse/fine path simulation.
+Counter-based (Philox) streams keyed by (root_seed, stream_id), each stream the seed
+sequence that hands Philox its key, so ensemble results do not depend on execution
+order, plus dyadically refinable Brownian increments for coupled coarse/fine path
+simulation.
 
 Per-chain draw protocol (fixed so that coupled experiments stay reproducible):
 momentum init (if any), then the noise pool (if any), then Brownian increments.
@@ -29,39 +30,21 @@ from .errors import ConfigError
 MAX_LADDER_LEVEL = 20
 
 
-class _ZeroSeed(ISeedSequence):
-    """Seeds every Philox with a zero key, without the OS entropy an unseeded one reads."""
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return np.zeros(n_words, dtype=dtype)
-
-
-_ZERO_SEED = _ZeroSeed()
-
-
 @dataclass(frozen=True)
-class RngStream:
+class RngStream(ISeedSequence):
     """A reproducible random stream derived from (root_seed, stream_id)."""
 
     root_seed: int
     stream_id: int
 
+    def generate_state(self, n_words, dtype=np.uint32):
+        """The Philox key (root_seed, stream_id): Philox asks its seed sequence for two
+        uint64 words, and any other seeding would first draw from OS entropy."""
+        return np.array([self.root_seed, self.stream_id], dtype=np.uint64)
+
     def generator(self) -> np.random.Generator:
-        """The stream of Philox(key=(root_seed, stream_id)) from counter 0. The key is set
-        through the documented state, written whole (counter 0, empty buffer):
-        Philox(key=...) would first build and discard a seed sequence drawn from OS
-        entropy."""
-        bits = np.random.Philox(_ZERO_SEED)
-        bits.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64),
-                      "key": np.array([self.root_seed, self.stream_id], dtype=np.uint64)},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return np.random.Generator(bits)
+        """The stream of Philox(key=(root_seed, stream_id)) from counter 0."""
+        return np.random.Generator(np.random.Philox(self))
 
 
 def _as_generator(rng) -> np.random.Generator:

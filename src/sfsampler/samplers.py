@@ -406,7 +406,7 @@ def _run_block(cfg, target, root_seed, chain_ids, workers):
     """Terminal positions of one block, its increments drawn and integrated chunk by chunk."""
     streams = open_chains(cfg, target.dim, root_seed, chain_ids)
     if isinstance(cfg, SfsConfig):
-        drift_fn = make_drift(target, cfg.beta, cfg.drift, pool=streams.pool)
+        drift_fn = make_drift(target, cfg.beta, cfg.drift, pool=streams.pool, n_steps=cfg.n_steps)
         integrator, head = sfs_run, (drift_fn, cfg)
     else:
         integrator = {"ula": ula_run, "uld": uld_euler_run, "baoab": baoab_run}[cfg.method]

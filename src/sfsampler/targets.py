@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, GradientUnavailable
-from .numerics import SpdMatrix, log_sum_exp, rows_times, shifted_points, weighted_sum
+from .numerics import SpdMatrix, log_sum_exp, rows_times, shifted_points, softmax, weighted_sum
 from .schema import TARGETS, check
 
 WEIGHT_SUM_TOL = 1e-9
@@ -65,9 +65,14 @@ class GaussianMixture:
             rot = np.stack([np.eye(self.dim) if q is None else q for _, q in eig])
             rotated_means = np.stack([m @ q for m, q in zip(self.means, rot)])
         sd = np.sqrt(lam)
+        log_norms = self.dim * _LOG_2PI + 2.0 * np.sum(np.log(sd), axis=-1)
+        # Sigma_i^{-1}, (kappa, d) diagonals or (kappa, d, d); log theta_i / sqrt(det 2 pi Sigma_i)
+        inv_var = (1.0 / sd) ** 2
+        precision = inv_var if rot is None else np.einsum("kde,ke,kfe->kdf", rot, inv_var, rot)
+        log_coef = np.log(self.weights) - 0.5 * log_norms
         for name, value in (("eigvals", lam), ("rotations", rot), ("rotated_means", rotated_means),
-                            ("_inv_sd", 1.0 / sd),
-                            ("_log_norms", self.dim * _LOG_2PI + 2.0 * np.sum(np.log(sd), axis=-1))):
+                            ("_inv_sd", 1.0 / sd), ("_log_norms", log_norms),
+                            ("_precision", precision), ("_log_coef", log_coef)):
             object.__setattr__(self, name, value)
 
     @property
@@ -81,13 +86,9 @@ class GaussianMixture:
     def max_std(self) -> float:
         return float(np.sqrt(max(np.max(c.diagonal_part) for c in self.covs)))
 
-    def _log_components(self, xf, precision=None):
-        """(kappa, n) log N(x; alpha_i, Sigma_i) for flat points xf (n, d).
-
-        Each component is whitened once, z = diag(lambda_i)^(-1/2) Q_i^T (x - alpha_i);
-        if a list `precision` is given, Sigma_i^{-1} (x - alpha_i) = Q_i diag(lambda_i)^(-1/2) z
-        is appended to it for every component, built from the same z.
-        """
+    def _log_components(self, xf):
+        """(kappa, n) log N(x; alpha_i, Sigma_i) for flat points xf (n, d), each component
+        whitened once, z = diag(lambda_i)^(-1/2) Q_i^T (x - alpha_i)."""
         out = np.empty((self.n_components, xf.shape[0]))
         for i in range(self.n_components):
             z = xf - self.means[i]
@@ -95,9 +96,6 @@ class GaussianMixture:
                 z = rows_times(z, self.rotations[i])
             z *= self._inv_sd[i]
             out[i] = np.einsum("nd,nd->n", z, z)
-            if precision is not None:
-                z *= self._inv_sd[i]
-                precision.append(z if self.rotations is None else rows_times(z, self.rotations[i].T))
         out += self._log_norms[:, None]
         out *= -0.5
         return out
@@ -118,23 +116,25 @@ class GaussianMixture:
         return -self.log_density(x)
 
     def grad_potential(self, x):
-        """grad V(x) = -grad log p(x), from one whitening per component.
+        """grad V(x) = -grad log p(x) = sum_i p_i(x) w_i, with w_i = Sigma_i^{-1} (x - alpha_i)
+        formed once per component.
 
-        grad V = sum_i p_i(x) Sigma_i^{-1} (x - alpha_i) with posterior weights p_i: each
-        component's precision product is scaled in place and summed into the first.
+        The posterior weights p_i are the softmax over the components of the log weights
+        -w_i.(x - alpha_i) / 2 + log theta_i - log det(2 pi Sigma_i) / 2, whose constant is
+        built at construction. Each chain's row is computed on its own (no BLAS product).
         """
         x = np.asarray(x, dtype=float)
-        precision = []
-        comp = self._log_components(x.reshape(-1, self.dim), precision)
-        comp += np.log(self.weights)[:, None]
-        comp -= log_sum_exp(comp, axis=0)
-        np.exp(comp, out=comp)  # posterior weights p_i(x)
-        g = precision[0]
-        g *= comp[0][:, None]
-        for i in range(1, self.n_components):
-            precision[i] *= comp[i][:, None]
-            g += precision[i]
-        return g.reshape(x.shape)
+        diff = x.reshape(-1, self.dim) - self.means[:, None, :]           # (kappa, n, d)
+        if self.rotations is None:
+            w = diff * self._precision[:, None, :]
+        else:
+            w = np.empty_like(diff)
+            for i, precision in enumerate(self._precision):
+                np.einsum("nd,de->ne", diff[i], precision, out=w[i])
+        logw = np.einsum("knd,knd->kn", w, diff)
+        logw *= -0.5
+        logw += self._log_coef[:, None]
+        return np.einsum("kn,knd->nd", softmax(logw, axis=0), w).reshape(x.shape)
 
     def sample(self, n, gen):
         """n i.i.d. draws from the mixture."""
@@ -285,13 +285,7 @@ class MixturePoolEvaluator(PoolEvaluator):
             z = xi if gmm.rotations is None else xi @ gmm.rotations[i]
             quad[..., i, :] = -0.5 * _sq_norm(z * gmm._inv_sd[i])
         quad[..., k, :] = _sq_norm(xi) / (2.0 * self.beta)
-        self.quad = quad
-        self.log_coef = np.log(gmm.weights) - 0.5 * gmm._log_norms   # log theta_i / sqrt(det 2 pi Sigma_i)
-        inv_var = gmm._inv_sd**2
-        if gmm.rotations is None:
-            self.precision = inv_var                                  # (kappa, d) diagonals
-        else:
-            self.precision = np.einsum("kde,ke,kfe->kdf", gmm.rotations, inv_var, gmm.rotations)
+        self.quad, self.log_coef, self.precision = quad, gmm._log_coef, gmm._precision
 
     def _times_precision(self, u):
         """P_i u_i for (..., kappa, d) vectors u."""

@@ -385,6 +385,8 @@ class TestConvergence:
 
     def test_thread_count_never_changes_the_files(self, tmp_path, monkeypatch, blocks_of):
         blocks_of(512)  # 600 chains make two blocks
+        # two usable CPUs, so that --threads 2 runs two workers on a one-CPU machine too
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         workers = []
 
         class RecordingPool(samplers.ThreadPoolExecutor):

@@ -19,9 +19,12 @@ from sfsampler import (
     make_gaussian_mixture,
     make_noise_pool,
     make_two_mode_gmm,
+    run_ensemble,
+    strong_error_curve,
 )
 from sfsampler.errors import ConfigError, ZeroMassError
 from sfsampler.numerics import softmax
+from sfsampler.samplers import STEP_NOISE_BYTES, SfsConfig
 from sfsampler.targets import (
     EXP_FLOOR, MixturePoolEvaluator, PoolEvaluator, log_g_and_grad, log_g_beta,
 )
@@ -283,6 +286,84 @@ class TestComponentMajorDrift:
         exact = solve_long_double(c, rhs.T).T
         err = np.max(np.abs(GmmExactDrift(target, beta)(x, t) - exact), axis=-1)
         assert np.all(err <= 1e-14 * np.maximum(np.max(np.abs(x), axis=-1), 1.0))
+
+
+def rotated_d3_mixture():
+    """Three rotated components in d = 3."""
+    gen = np.random.default_rng(12)
+    covs = [m @ m.T / 3.0 + 0.2 * np.eye(3) for m in gen.standard_normal((3, 3, 3))]
+    return make_gaussian_mixture([0.5, 0.3, 0.2], gen.uniform(-4.0, 4.0, (3, 3)),
+                                 [0.5 * (c + c.T) for c in covs])
+
+
+def one_gaussian(d):
+    return make_gaussian_mixture([1.0], [np.linspace(-2.0, 2.0, d)], [np.geomspace(0.25, 4.0, d)])
+
+
+class TestTimeTable:
+    """The exact drift's coefficients for a known grid, built a slice of steps at a time."""
+
+    @pytest.mark.parametrize(
+        "target",
+        [make_gaussian_mixture([0.75, 0.25], [-6.0, 6.0], [0.2, 0.8]), rotated_d3_mixture(),
+         one_gaussian(100)],
+        ids=["diagonal_k2_d1", "rotated_k3_d3", "one_component_d100"],
+    )
+    def test_every_grid_time_and_off_grid_time_keeps_the_bytes(self, target):
+        n_steps, beta = 1000, 1.3
+        gridded, plain = GmmExactDrift(target, beta, n_steps), GmmExactDrift(target, beta)
+        assert gridded.slice_steps < n_steps or target.dim < 100
+        x = np.random.default_rng(5).standard_normal((40, target.dim)) * 4.0
+        grid = [n * (1.0 / n_steps) for n in range(n_steps)]
+        # forwards, then backwards, which builds every slice again
+        for t in grid + grid[::-1]:
+            assert gridded(x, t).tobytes() == plain(x, t).tobytes()
+        # between grid times, within an ulp of one, and past the last
+        for t in (0.0005, 1.0 / 3.0, 0.5 + 2.0**-40, 0.5 - 2.0**-53, 0.9995, 0.9999):
+            assert gridded(x, t).tobytes() == plain(x, t).tobytes()
+            assert gridded(x[3], t).tobytes() == plain(x[3], t).tobytes()
+
+    @pytest.mark.parametrize(
+        "target", [make_gaussian_mixture([0.75, 0.25], [-6.0, 6.0], [0.2, 0.8]), one_gaussian(100)],
+        ids=["bimodal_d1", "one_component_d100"],
+    )
+    def test_one_pass_per_slice_in_a_run(self, target, monkeypatch):
+        calls = []
+        coefficients = GmmExactDrift._coefficients
+        monkeypatch.setattr(GmmExactDrift, "_coefficients",
+                            lambda self, t: calls.append(len(t)) or coefficients(self, t))
+        cfg = SfsConfig(n_steps=1000, beta=1.0)
+        slice_steps = GmmExactDrift(target, 1.0, cfg.n_steps).slice_steps
+        calls.clear()
+        run_ensemble(cfg, target, 64, 3)   # one block
+        # one sizing pass when the drift is built, then each slice once
+        assert calls == [1] + [min(slice_steps, cfg.n_steps - lo)
+                               for lo in range(0, cfg.n_steps, slice_steps)]
+
+    def test_the_curve_levels_hit_the_reference_table(self, monkeypatch):
+        calls = []
+        coefficients = GmmExactDrift._coefficients
+        monkeypatch.setattr(GmmExactDrift, "_coefficients",
+                            lambda self, t: calls.append(len(t)) or coefficients(self, t))
+        target = make_gaussian_mixture([0.5, 0.5], [-1.0, 1.0], [0.8, 0.8])
+        strong_error_curve(target, SfsConfig(n_steps=2), [2.0**-k for k in range(3, 7)], 9, 64, 1)
+        assert calls == [1, 2**9]
+
+    @pytest.mark.parametrize("kappa", [1, 2])
+    def test_a_long_wide_grid_stays_within_the_byte_budget(self, kappa):
+        d, n_steps = 200, 10_000
+        target = make_gaussian_mixture([1.0 / kappa] * kappa, np.zeros((kappa, d)),
+                                       [np.geomspace(0.25, 4.0, d)] * kappa)
+        drift = GmmExactDrift(target, 1.0, n_steps)
+        x = np.ones((2, d))
+        rows = 0
+        for n in range(0, n_steps, 37):
+            drift(x, n * (1.0 / n_steps))
+            coefficients = drift.table[1]
+            assert len(coefficients) == (2 if kappa == 1 else 4)   # a, b (k and a / 2)
+            assert sum(v.nbytes for v in coefficients) <= STEP_NOISE_BYTES
+            rows = max(rows, len(coefficients[0]))
+        assert rows == drift.slice_steps > 1
 
 
 class TestSteinMcDrift:

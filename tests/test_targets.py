@@ -16,6 +16,7 @@ from sfsampler import (
     target_to_dict,
 )
 from sfsampler.errors import ConfigError, GradientUnavailable
+from sfsampler.numerics import log_sum_exp
 
 
 def full_covariance_d5():
@@ -162,6 +163,70 @@ class TestGradients:
         t = make_custom(lambda x: np.sum(np.abs(x), axis=-1), dim=2)
         with pytest.raises(GradientUnavailable):
             grad_potential(t, np.zeros(2))
+
+
+def mixture(kappa, rotated, d=3, seed=0):
+    gen = np.random.default_rng(seed)
+    means = gen.uniform(-4.0, 4.0, (kappa, d))
+    if rotated:
+        covs = [m @ m.T / d + 0.2 * np.eye(d) for m in gen.standard_normal((kappa, d, d))]
+        covs = [0.5 * (c + c.T) for c in covs]
+    else:
+        covs = list(gen.uniform(0.2, 2.0, (kappa, d)))
+    return make_gaussian_mixture(gen.dirichlet(np.ones(kappa)), means, covs)
+
+
+def log_sum_exp_gradient(target, x):
+    """grad V = sum_i p_i Sigma_i^{-1} (x - alpha_i), the posterior weights p_i normalised by
+    log-sum-exp over the component log densities; also returns p (kappa, n) and the bound
+    max_d sum_i p_i |Sigma_i^{-1} (x - alpha_i)| per point."""
+    gmm = target.mixture
+    comp = gmm.component_log_densities(x).T + np.log(gmm.weights)[:, None]
+    post = np.exp(comp - log_sum_exp(comp, axis=0))
+    terms = np.stack([np.linalg.solve(c.entries, (x - m).T).T for m, c in zip(gmm.means, gmm.covs)])
+    return np.einsum("kn,knd->nd", post, terms), post, np.einsum("kn,knd->n", post, np.abs(terms))
+
+
+def mixture_points(target, gen):
+    """Points within a standard deviation of each mode, and points 50 to 80 of them away."""
+    gmm, d = target.mixture, target.dim
+    sd = gmm.max_std()
+    near = [m + 0.5 * sd * gen.standard_normal((20, d)) for m in gmm.means]
+    way = gen.standard_normal((40, d))
+    way /= np.linalg.norm(way, axis=-1, keepdims=True)
+    way *= sd * gen.uniform(50.0, 80.0, (40, 1))
+    far = gmm.means[gen.integers(0, len(gmm.means), 40)] + way
+    return np.concatenate(near), far
+
+
+class TestMixtureGradient:
+    """The softmax mixture gradient against the log-sum-exp formula and finite differences."""
+
+    @pytest.mark.parametrize("kappa", [1, 2, 3])
+    @pytest.mark.parametrize("rotated", [False, True], ids=["diagonal", "rotated"])
+    def test_matches_the_log_sum_exp_formula(self, kappa, rotated):
+        target = mixture(kappa, rotated, seed=kappa)
+        near, far = mixture_points(target, np.random.default_rng(kappa))
+        for x in (near, far):
+            expect, _, bound = log_sum_exp_gradient(target, x)
+            err = np.max(np.abs(grad_potential(target, x) - expect), axis=-1)
+            assert np.all(err <= 1e-12 * bound)
+        if kappa > 1:  # far out one component takes all of the posterior weight
+            post = log_sum_exp_gradient(target, far)[1]
+            assert np.mean(np.max(post, axis=0) == 1.0) > 0.5
+
+    @pytest.mark.parametrize("kappa", [1, 2, 3])
+    @pytest.mark.parametrize("rotated", [False, True], ids=["diagonal", "rotated"])
+    def test_matches_central_differences_of_the_potential(self, kappa, rotated):
+        target = mixture(kappa, rotated, seed=10 + kappa)
+        for x in mixture_points(target, np.random.default_rng(kappa)):
+            got = grad_potential(target, x)
+            for j in range(target.dim):
+                e = np.zeros(target.dim)
+                e[j] = 1e-7 * np.maximum(1.0, np.max(np.abs(x)))
+                fd = (target.potential(x + e) - target.potential(x - e)) / (2.0 * e[j])
+                scale = np.maximum(1.0, np.abs(got).max(axis=-1))
+                assert np.all(np.abs(got[:, j] - fd) <= 1e-6 * scale)
 
 
 class TestLogGBeta:
