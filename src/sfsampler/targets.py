@@ -4,7 +4,8 @@ Gaussian mixtures with full covariance structure, the shaped 2-D densities
 (ring, funnel, a cross-shaped polynomial potential), and a Bayesian ridge
 posterior. Every target exposes an unnormalized potential V (batched over
 points), an analytic gradient where available, and the log density ratio
-against N(0, beta I) used by the diffusion drift.
+against N(0, beta I) used by the diffusion drift. The ring is defined by its
+radial profile, V(y) = phi(||y||^2), from which its potential and gradient follow.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ class GaussianMixture:
     def __post_init__(self):
         eig = [c.eigen() for c in self.covs]
         lam = np.stack([vals for vals, _ in eig])
-        if np.any(lam <= 0.0):
-            raise ConfigError("covariance is numerically singular (non-positive eigenvalue)")
+        if np.any(lam < np.finfo(float).tiny):   # 1 / lambda overflows below the normal floats
+            raise ConfigError("covariance is numerically singular (eigenvalue below 2.2e-308)")
         if all(q is None for _, q in eig):
             rot, rotated_means = None, self.means
         else:
@@ -148,12 +149,33 @@ class GaussianMixture:
 
 
 @dataclass(frozen=True)
+class RadialProfile:
+    """A potential of the squared radius alone, V(y) = phi(q) with q = ||y||^2.
+
+    `value` gives phi(q) and `slope` phi'(q), elementwise over q, each as a new array.
+    grad V(y) = 2 phi'(q) y, so a slope that stays finite at q = 0 makes grad V exactly 0
+    at the origin, not NaN.
+    """
+
+    value: Callable
+    slope: Callable
+
+    def potential(self, x):
+        return self.value(_sq_norm(x))
+
+    def grad(self, x):
+        slope = 2.0 * self.slope(_sq_norm(x))
+        return slope[..., None] * x
+
+
+@dataclass(frozen=True)
 class TargetSpec:
     """An unnormalized target density exp(-V) with optional gradient and mixture structure.
 
     rho > 0 mixes a constant floor into the (unnormalized) density ratio
     against N(0, beta I), which keeps Monte Carlo drift weights away from
-    total underflow far in the tails.
+    total underflow far in the tails. A target whose potential depends on the
+    radius alone carries its `radial` profile, which its pool evaluator reads.
     """
 
     kind: str
@@ -163,6 +185,7 @@ class TargetSpec:
     mixture: Optional[GaussianMixture] = None
     params: dict = field(default_factory=dict)
     rho: float = 0.0
+    radial: Optional[RadialProfile] = None
 
     def __post_init__(self):
         if not (0.0 <= self.rho < 1.0):
@@ -178,8 +201,11 @@ class TargetSpec:
         return grad_potential(self, x)
 
     def pool_evaluator(self, beta, xi):
-        """The evaluator of log g_beta over a fixed pool xi; see PoolEvaluator."""
-        return (PoolEvaluator if self.mixture is None else MixturePoolEvaluator)(self, beta, xi)
+        """The evaluator of log g_beta over a fixed pool xi: a mixture's or a radial target's
+        works in the frame of the pool, any other target's builds the points (PoolEvaluator)."""
+        if self.mixture is not None:
+            return MixturePoolEvaluator(self, beta, xi)
+        return (PoolEvaluator if self.radial is None else RadialPoolEvaluator)(self, beta, xi)
 
 
 def _sq_norm(x):
@@ -192,9 +218,14 @@ def _floored(target: TargetSpec, base):
     return np.logaddexp(np.log1p(-target.rho) + base, np.log(target.rho))
 
 
-def _floor_factor(target: TargetSpec, base, logg):
-    """sigma = (1 - rho) g / g_rho, the factor the floor puts on grad log g; 0 where g underflows."""
-    return np.exp(np.log1p(-target.rho) + base - logg)
+def _floor(target: TargetSpec, base):
+    """(log g_rho, sigma) for a log density ratio: the rho floor and the factor
+    sigma = (1 - rho) g / g_rho it puts on grad log g, 0 where g underflows; (base, None)
+    without a floor."""
+    if target.rho == 0.0:
+        return base, None
+    logg = _floored(target, base)
+    return logg, np.exp(np.log1p(-target.rho) + base - logg)
 
 
 def log_g_beta(target: TargetSpec, beta, x):
@@ -222,12 +253,10 @@ def log_g_and_grad(target: TargetSpec, beta, x):
     base = -target.potential(x) + _sq_norm(x) / (2.0 * beta)
     grad = x / beta
     grad -= grad_v
-    if target.rho == 0.0:
-        return base, grad
-    logg = _floored(target, base)
-    sigma = _floor_factor(target, base, logg)
-    grad *= sigma[..., None]
-    grad[sigma == 0.0] = 0.0
+    logg, sigma = _floor(target, base)
+    if sigma is not None:
+        grad *= sigma[..., None]
+        grad[sigma == 0.0] = 0.0
     return logg, grad
 
 
@@ -235,12 +264,13 @@ class PoolEvaluator:
     """log g_beta over a fixed noise pool, y_j = x + sqrt(s) xi_j, and the pool-weighted gradient.
 
     Built once per pool xi, (M, d) or (B, M, d) for a block of per-chain pools.
-    `log_g(x, s)` gives the (..., M) values; `log_g_and_grad(x, s)` gives them with a
-    function that maps (..., M) weights p to sum_j p_j grad_y log g_beta(y_j). This
-    default builds the points y and evaluates the target on them. It keeps the pool
-    pool-axis-last as well, xi_t a C-contiguous (..., d, M) copy, and builds the points
-    along the pool axis (`numerics.shifted_points`): the target gets their (..., M, d)
-    view, and no step broadcasts over the short d axis.
+    `log_g(x, s)` gives the (..., M) values, a new array the caller may overwrite;
+    `log_g_and_grad(x, s)` gives them with a function that maps (..., M) weights p to
+    sum_j p_j grad_y log g_beta(y_j), linear in p. This default, taken by targets with
+    neither a mixture nor a radial profile, builds the points y and evaluates the target
+    on them. It keeps the pool pool-axis-last as well, xi_t a C-contiguous (..., d, M)
+    copy, and builds the points along the pool axis (`numerics.shifted_points`): the
+    target gets their (..., M, d) view, and no step broadcasts over the short d axis.
     """
 
     def __init__(self, target: TargetSpec, beta, xi):
@@ -258,20 +288,92 @@ class PoolEvaluator:
         return logg, lambda p: weighted_sum(p, grad)
 
 
-class MixturePoolEvaluator(PoolEvaluator):
+def _pool_forms(xi, lin, offset, quad, s):
+    """The forms offset_i + xi_j.lin_i + s quad_ij over a pool of rows xi (..., M, d), for K
+    columns lin (..., d, K), offsets (..., K) and quadratic parts quad (K, ..., M) built once
+    per pool: one (K, ..., M) array, component-major, each row contiguous.
+
+    The product reads the pool rows as stored and writes into the rows of the result; each
+    chain's product is its own BLAS call, whatever the number of chains. It gives the forms
+    over s, so that quad and the offsets join them in passes over the whole array.
+    """
+    batch = np.broadcast_shapes(lin.shape[:-2], xi.shape[:-2])
+    forms = np.empty(quad.shape[:1] + batch + xi.shape[-2:-1])
+    view = np.moveaxis(forms, 0, -2)                     # (..., K, M): batch axes first
+    np.matmul(xi, lin / s, out=np.swapaxes(view, -1, -2))
+    view += np.moveaxis(quad, 0, -2)
+    forms *= s
+    view += offset[..., None]
+    return forms
+
+
+class RadialPoolEvaluator:
+    """The pool evaluator of a radial target, V(y) = phi(||y||^2), in the frame of the pool.
+
+    With r = sqrt(s), q_j = ||y_j||^2 = ||x||^2 + 2 r x.xi_j + s ||xi_j||^2 is one form
+    over the pool (`_pool_forms`, as the mixture's row kappa is q_j / (2 beta)), with
+    ||xi_j||^2 built once per pool, and log g_beta(y_j) = q_j / (2 beta) - phi(q_j). As
+    grad log g_beta(y_j) = c_j y_j with c_j = 1/beta - 2 phi'(q_j), the weighted gradient
+    with v_j = p_j sigma_j is
+        (sum_j v_j c_j) x + r sum_j v_j c_j xi_j.
+    No (..., M, d) array is built per step; the sum over the pool reads the rows as stored.
+    """
+
+    def __init__(self, target: TargetSpec, beta, xi):
+        self.target, self.beta, self.xi = target, _check_beta(beta), xi
+        self.profile, self.sq_xi = target.radial, _sq_norm(xi)[None]
+
+    def _evaluate(self, x, s, grad):
+        """log g_beta over the pool, the floor factor sigma_j (None without a floor) and,
+        with grad, c_j."""
+        lin = (2.0 * np.sqrt(s)) * x[..., None]
+        q = _pool_forms(self.xi, lin, _sq_norm(x)[..., None], self.sq_xi, s)[0]   # ||y_j||^2
+        c = None
+        if grad:
+            c = self.profile.slope(q)
+            c *= -2.0
+            c += 1.0 / self.beta
+        phi = self.profile.value(q)
+        base = np.divide(q, 2.0 * self.beta, out=q)
+        base -= phi
+        return (*_floor(self.target, base), c)
+
+    def log_g(self, x, s):
+        return self._evaluate(np.asarray(x, dtype=float), s, grad=False)[0]
+
+    def log_g_and_grad(self, x, s):
+        x, r = np.asarray(x, dtype=float), np.sqrt(s)
+        logg, sigma, c = self._evaluate(x, s, grad=True)
+
+        def weighted_grad(p):
+            w = p * c
+            if sigma is not None:
+                w *= sigma
+                w[sigma == 0.0] = 0.0   # 0, not NaN, where g underflows
+            grad = np.sum(w, axis=-1)[..., None] * x
+            grad += r * weighted_sum(w, self.xi)
+            return grad
+
+        return logg, weighted_grad
+
+
+class MixturePoolEvaluator:
     """The pool evaluator of a Gaussian mixture, in the frame of the pool.
 
     With P_i = Sigma_i^{-1}, r = sqrt(s) and b_i = P_i (x - alpha_i), every quantity is a
     form in xi_j:
         (y_j - alpha_i)^T P_i (y_j - alpha_i) = (x - alpha_i)^T b_i + 2 r xi_j.b_i + s xi_j^T P_i xi_j,
         ||y_j||^2 = ||x||^2 + 2 r xi_j.x + s ||xi_j||^2.
-    The quadratic forms in xi_j are computed once per pool, so a step costs one batched
-    mat-vec over the pool. The gradient sum_j v_j grad log g(y_j), v_j = p_j sigma_j, is
+    The quadratic forms in xi_j are computed once per pool (with every covariance diagonal,
+    as xi^2 times one (d, kappa + 1) coefficient matrix), so a step costs one batched
+    mat-vec over the pool (`_pool_forms`). The forms are kept component-major,
+    (kappa + 1, ..., M), so the max, shift, floor and sum over the components are passes
+    over rows of one shape. The gradient sum_j v_j grad log g(y_j), v_j = p_j sigma_j, is
     linear in y_j once the posterior component weights pi_i(y_j) are known: with
     w_ij = v_j pi_i(y_j), V = sum_j v_j and W_i = sum_j w_ij it is
         (V x + r sum_j v_j xi_j) / beta - sum_i P_i (W_i (x - alpha_i) + r sum_j w_ij xi_j),
-    one more batched mat-vec. No (..., M, d) array is built per step, so the evaluator
-    keeps no pool-axis-last copy: both products read the rows xi as stored.
+    one more batched mat-vec. No (..., M, d) array is built per step, and both products
+    read the pool rows xi as stored.
     """
 
     def __init__(self, target: TargetSpec, beta, xi):
@@ -279,12 +381,17 @@ class MixturePoolEvaluator(PoolEvaluator):
         gmm = self.gmm = target.mixture
         k = gmm.n_components
         # the forms' quadratic parts: -xi_j^T P_i xi_j / 2 per component, then ||xi_j||^2 / (2 beta)
-        quad = np.empty(xi.shape[:-2] + (k + 1, xi.shape[-2]))
-        for i in range(k):
-            # a BLAS product is safe here: every chain's pool has the same M >= 2 rows
-            z = xi if gmm.rotations is None else xi @ gmm.rotations[i]
-            quad[..., i, :] = -0.5 * _sq_norm(z * gmm._inv_sd[i])
-        quad[..., k, :] = _sq_norm(xi) / (2.0 * self.beta)
+        quad = np.empty((k + 1,) + xi.shape[:-1])
+        if gmm.rotations is None:
+            coef = np.concatenate([-0.5 * gmm._precision, np.full((1, gmm.dim), 0.5 / self.beta)])
+            np.matmul(np.square(xi), coef.T, out=np.moveaxis(quad, 0, -1))
+        else:
+            for i in range(k):
+                # a BLAS product is safe here: every chain's pool has the same M >= 2 rows
+                z = xi @ gmm.rotations[i]
+                z *= gmm._inv_sd[i]
+                quad[i] = -0.5 * _sq_norm(z)
+            quad[k] = _sq_norm(xi) / (2.0 * self.beta)
         self.quad, self.log_coef, self.precision = quad, gmm._log_coef, gmm._precision
 
     def _times_precision(self, u):
@@ -300,34 +407,29 @@ class MixturePoolEvaluator(PoolEvaluator):
         diff = x[..., None, :] - self.gmm.means                       # (..., kappa, d)
         prec_diff = self._times_precision(diff)
         # row i of forms: log theta_i N(y_j; alpha_i, Sigma_i); row kappa: ||y_j||^2 / (2 beta)
-        lin = np.concatenate([-r * prec_diff, (r / beta) * x[..., None, :]], axis=-2)
+        lin = np.concatenate([-r * np.swapaxes(prec_diff, -1, -2), (r / beta) * x[..., None]],
+                             axis=-1)                                 # (..., d, kappa + 1)
         offset = np.concatenate(
             [self.log_coef - 0.5 * np.einsum("...kd,...kd->...k", diff, prec_diff),
              _sq_norm(x)[..., None] / (2.0 * beta)], axis=-1)
-        forms = lin @ np.swapaxes(self.xi, -1, -2)                    # (..., kappa + 1, M)
-        forms += offset[..., None]
-        for i in range(k + 1):  # row by row: no second (..., kappa + 1, M) temporary
-            forms[..., i, :] += s * self.quad[..., i, :]
+        forms = _pool_forms(self.xi, lin, offset, self.quad, s)       # (kappa + 1, ..., M)
         # the components exponentiated in place against their top; a weight below
         # e^EXP_FLOOR of the top (exactly 1) is set to exactly 0 instead, which leaves
         # np.exp's fast path for no argument that would underflow
-        comp = forms[..., :k, :]
-        top = np.max(comp, axis=-2)
+        comp = forms[:k]
+        top = np.max(comp, axis=0)
         top[~np.isfinite(top)] = 0.0
-        comp -= top[..., None, :]
+        comp -= top
         kept = comp >= EXP_FLOOR
         np.maximum(comp, EXP_FLOOR, out=comp)
         np.exp(comp, out=comp)
         comp *= kept
-        total = np.sum(comp, axis=-2)
+        total = np.sum(comp, axis=0)
         with np.errstate(divide="ignore"):
             base = np.log(total)
         base += top
-        base += forms[..., k, :]
-        if self.target.rho == 0.0:
-            return base, None, (x, r, diff, forms, total)
-        logg = _floored(self.target, base)
-        return logg, _floor_factor(self.target, base, logg), (x, r, diff, forms, total)
+        base += forms[k]
+        return (*_floor(self.target, base), (x, r, diff, forms, total))
 
     def log_g(self, x, s):
         return self._evaluate(x, s)[0]
@@ -339,10 +441,10 @@ class MixturePoolEvaluator(PoolEvaluator):
         def weighted_grad(p):  # reuses the forms buffer, so call it once
             v = p if sigma is None else p * sigma
             # posterior component weights, 0 (not NaN) where the density underflows
-            forms[..., :k, :] *= (v / np.where(total > 0.0, total, 1.0))[..., None, :]
-            forms[..., k, :] = v
-            sums = np.sum(forms, axis=-1)                              # W_i, then V
-            pooled = forms @ self.xi                                   # (..., kappa + 1, d)
+            forms[:k] *= v / np.where(total > 0.0, total, 1.0)
+            forms[k] = v
+            sums = np.moveaxis(np.sum(forms, axis=-1), 0, -1)          # W_i, then V
+            pooled = np.moveaxis(forms, 0, -2) @ self.xi               # (..., kappa + 1, d)
             u = sums[..., :k, None] * diff + r * pooled[..., :k, :]
             grad = sums[..., k, None] * x + r * pooled[..., k, :]
             grad /= self.beta
@@ -413,20 +515,24 @@ def _make_two_mode_gmm(d, separation=6.0, variance=0.25, weights=(0.5, 0.5), rho
                    params=params)
 
 
-def _make_ring(r0=2.0, sigma=0.2):
-    r0 = float(r0)
-    inv = 1.0 / (sigma * sigma)
+def _make_ring(r0=2.0, sigma=0.2) -> RadialProfile:
+    """V(y) = (||y|| - r0)^2 / (2 sigma^2), as the profile phi(q) = (sqrt(q) - r0)^2 * half_inv."""
+    r0, half_inv = float(r0), 0.5 / (sigma * sigma)
 
-    def potential(x):
-        r = np.sqrt(_sq_norm(x))
-        return 0.5 * inv * (r - r0) ** 2
+    def value(q):
+        v = np.sqrt(q)
+        v -= r0
+        v *= v
+        v *= half_inv
+        return v
 
-    def grad(x):
-        r = np.sqrt(_sq_norm(x))[..., None]
-        safe_r = np.where(r > 0, r, 1.0)
-        return np.where(r > 0, inv * (r - r0) * x / safe_r, 0.0)
+    def slope(q):
+        # phi'(q) = (1 - r0 / sqrt(q)) / (2 sigma^2), finite at q = 0 where r0 / sqrt(q) reads 0
+        root = np.sqrt(q)
+        ratio = np.divide(r0, root, out=np.zeros_like(root), where=root > 0.0)
+        return half_inv * (1.0 - ratio)
 
-    return potential, grad
+    return RadialProfile(value, slope)
 
 
 def _make_funnel(alpha=0.6):
@@ -489,7 +595,11 @@ def make_builtin(kind, rho=0.0, **params) -> TargetSpec:
     if kind in _MIXTURES:
         return _MIXTURES[kind](rho=rho, **params)
     if kind in _SHAPED_2D:
-        potential, grad = _SHAPED_2D[kind](**params)
+        made = _SHAPED_2D[kind](**params)
+        if isinstance(made, RadialProfile):
+            return TargetSpec(kind, 2, made.potential, made.grad, params=dict(params), rho=rho,
+                              radial=made)
+        potential, grad = made
         return TargetSpec(kind, 2, potential, grad, params=dict(params), rho=rho)
     y, potential, grad = _make_bayes_ridge(**params)
     return TargetSpec(kind, y.shape[0], potential, grad, params={**params, "y": y.tolist()}, rho=rho)

@@ -1,6 +1,7 @@
 """Tests for the drift evaluators: closed form, Monte Carlo pool, quadrature."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from sfsampler.errors import ConfigError, ZeroMassError
 from sfsampler.numerics import softmax
 from sfsampler.samplers import STEP_NOISE_BYTES, SfsConfig
 from sfsampler.targets import (
-    EXP_FLOOR, MixturePoolEvaluator, PoolEvaluator, log_g_and_grad, log_g_beta,
+    EXP_FLOOR, MixturePoolEvaluator, PoolEvaluator, RadialPoolEvaluator, log_g_and_grad, log_g_beta,
 )
 
 SKEWED_BIMODAL_PM2 = dict(weights=[0.75, 0.25], means=[-2.0, 2.0], covs=[0.2, 0.8])
@@ -550,13 +551,47 @@ class TestPoolFrame:
         scale = np.maximum(np.max(np.abs(grads), axis=(-2, -1))[:, None], 1.0)
         assert np.all(np.abs(weighted(p) - expect_weighted(p)) <= 1e-9 * scale)
 
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        r0=st.floats(0.5, 4.0),
+        sigma=st.floats(0.05, 1.0),
+        beta=st.floats(0.2, 5.0),
+        t=st.floats(0.0, 0.99),
+        rho=st.sampled_from([0.0, 0.1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_radial_frame_matches_the_points(self, r0, sigma, beta, t, rho, seed):
+        gen = np.random.default_rng(seed)
+        target = make_builtin("ring", r0=r0, sigma=sigma, rho=rho)
+        xi = gen.standard_normal((5, 16, 2))
+        x = gen.standard_normal((5, 2)) * 3.0
+        x[0] = 0.0                                                     # at the origin
+        x[1] *= (r0 + 50.0 * sigma) / np.linalg.norm(x[1])             # 50 sigma out
+        s = (1.0 - t) * beta
+        frame, points = RadialPoolEvaluator(target, beta, xi), PoolEvaluator(target, beta, xi)
+        logg, weighted = frame.log_g_and_grad(x, s)
+        expect, expect_weighted = points.log_g_and_grad(x, s)
+        scale = np.maximum(np.max(np.abs(expect), axis=-1, keepdims=True), 1.0)
+        assert np.all(np.abs(logg - expect) <= 1e-9 * scale)
+        assert np.array_equal(frame.log_g(x, s), logg)
+        p = softmax(expect, axis=-1)
+        # relative to the largest gradient over the pool, which the weighted sum may cancel
+        _, grads = target.log_g_and_grad(beta, x[:, None, :] + np.sqrt(s) * xi)
+        scale = np.maximum(np.max(np.abs(grads), axis=(-2, -1))[:, None], 1.0)
+        assert np.all(np.abs(weighted(p) - expect_weighted(p)) <= 1e-9 * scale)
+
     def test_mixtures_take_the_pool_frame_and_others_the_points(self):
+        # the ring works from its radial profile in the frame of the pool; the funnel, with
+        # neither a mixture nor a profile, takes the points
         xi = make_noise_pool(8, 2, RngStream(0, 0)).xi
         mixture = make_two_mode_gmm(2, separation=3.0, variance=0.5)
         ring = make_builtin("ring", r0=2.0, sigma=0.2)
+        funnel = make_builtin("funnel", alpha=0.6)
         assert type(mixture.pool_evaluator(1.0, xi)) is MixturePoolEvaluator
-        assert type(ring.pool_evaluator(1.0, xi)) is PoolEvaluator
-        assert type(SteinMcDrift(ring, 1.0, NoisePool(xi)).evaluator) is PoolEvaluator
+        assert type(ring.pool_evaluator(1.0, xi)) is RadialPoolEvaluator
+        assert type(SteinMcDrift(ring, 1.0, NoisePool(xi)).evaluator) is RadialPoolEvaluator
+        assert type(funnel.pool_evaluator(1.0, xi)) is PoolEvaluator
+        assert type(SteinMcDrift(funnel, 1.0, NoisePool(xi)).evaluator) is PoolEvaluator
 
     @pytest.mark.parametrize("form", ["stein", "grad"])
     def test_unstacked_pool_and_single_point(self, form):
@@ -594,7 +629,8 @@ class TestPoolFrame:
         target = make_gaussian_mixture([0.5, 0.5], [-40.0, 40.0], [1.0, 1.0])
         xi = np.linspace(-12.0, 12.0, 97)[None, :, None]
         frame = MixturePoolEvaluator(target, 1.0, xi)
-        weights = frame._evaluate(np.zeros((1, 1)), 1.0)[2][3][0, :2]
+        forms = frame._evaluate(np.zeros((1, 1)), 1.0)[2][3]           # (kappa + 1, chains, M)
+        weights = forms[:2, 0]
         log_ratio = -80.0 * np.abs(xi[0, :, 0])
         assert np.all(np.max(weights, axis=0) == 1.0)
         lower = np.min(weights, axis=0)
@@ -616,18 +652,24 @@ class TestPoolFrame:
         assert np.array_equal(grad, np.zeros((3, 1)))
 
     def test_grad_call_builds_no_pool_sized_array(self):
-        # one (B, M, d) array of pool points at B = 512, M = 200, d = 10 takes 8.2 MB
-        target = make_two_mode_gmm(10, separation=6.0, variance=0.25)
+        # one (B, M, d) array of pool points at B = 512, M = 200, d = 10 takes 8.2 MB. At
+        # d = 2 such an array is only twice a (B, M) one, so the ring's calls run its own
+        # profile and evaluator on a 10-d shell, where their (B, M) arrays are a tenth of it
+        mixture = make_two_mode_gmm(10, separation=6.0, variance=0.25)
+        shell = replace(make_builtin("ring", r0=2.0, sigma=0.2), dim=10)
         pool = stacked_pool(512, 200, 10)
-        drift = SteinMcDrift(target, 5.0, pool, form="grad")
         x = np.random.default_rng(2).standard_normal((512, 10)) * 3.0
-        tracemalloc.start()
-        try:
-            drift(x, 0.3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8e6
+        for target, beta, form in [(mixture, 5.0, "grad"), (shell, 1.0, "stein"),
+                                   (shell, 1.0, "grad")]:
+            drift = SteinMcDrift(target, beta, pool, form=form)
+            assert type(drift.evaluator) is not PoolEvaluator
+            tracemalloc.start()
+            try:
+                drift(x, 0.3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8e6, (target.kind, form, peak)
 
 
 def row_points(x, r, xi):
@@ -671,14 +713,21 @@ class TestPoolLayout:
 
     @pytest.mark.parametrize("kind", ["ring", "funnel"])
     def test_plain_stein_keeps_the_bytes_of_row_points(self, kind):
-        # the points are the same sums in the same order, and the Stein sum reads the rows
+        # the Stein sum reads the rows: the weights exp(log g - top), summed against the pool
+        # as stored, then divided by their total; the funnel's points are the same sums in
+        # the same order as row points, and the ring's log g comes from its radial evaluator
         target = self.RING if kind == "ring" else self.FUNNEL
         pool = stacked_pool(64, 40, 2)
         x = np.random.default_rng(4).standard_normal((64, 2))
         beta, t = 1.0, 0.3
         s = (1.0 - t) * beta
-        p = softmax(log_g_beta(target, beta, x[:, None, :] + np.sqrt(s) * pool.xi), axis=-1)
-        expect = np.sqrt(beta / (1.0 - t)) * (p[:, None, :] @ pool.xi)[:, 0, :]
+        logg = target.pool_evaluator(beta, pool.xi).log_g(x, s)
+        if kind == "funnel":
+            points = x[:, None, :] + np.sqrt(s) * pool.xi
+            assert logg.tobytes() == log_g_beta(target, beta, points).tobytes()
+        e = np.exp(logg - np.max(logg, axis=-1, keepdims=True))
+        expect = (e[:, None, :] @ pool.xi)[:, 0, :] / np.sum(e, axis=-1)[:, None]
+        expect *= np.sqrt(beta / (1.0 - t))
         assert SteinMcDrift(target, beta, pool)(x, t).tobytes() == expect.tobytes()
 
     def test_points_are_the_view_of_a_pool_axis_last_array(self):

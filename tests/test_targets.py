@@ -61,6 +61,14 @@ class TestGaussianMixtureConstruction:
         with pytest.raises(ConfigError):
             make_gaussian_mixture([0.5, 0.5], [-1.0, 1.0], [1.0])
 
+    @pytest.mark.parametrize("variance", [5e-324, 1e-310])
+    def test_subnormal_variance_rejected_without_a_warning(self, variance):
+        # 1 / variance would overflow; tier-1 turns numpy's overflow warning into an error
+        with pytest.raises(ConfigError, match="singular"):
+            make_two_mode_gmm(2, variance=variance)
+        with pytest.raises(ConfigError, match="singular"):
+            make_gaussian_mixture([0.5, 0.5], [-1.0, 1.0], [1.0, variance])
+
     def test_log_density_normalized(self):
         # integrate exp(log_density) over a wide grid; mixture density integrates to 1
         t = make_gaussian_mixture([0.3, 0.7], [-2.0, 1.0], [0.5, 1.5])
@@ -116,6 +124,17 @@ class TestBuiltinPotentials:
         x = np.array([1.3, -0.4])
         fd = finite_difference_grad(ring.potential, x)
         assert grad_potential(ring, x) == pytest.approx(fd, abs=1e-6)
+
+    def test_ring_comes_from_its_radial_profile(self):
+        ring = make_builtin("ring", r0=2.0, sigma=0.2)
+        x = np.array([[0.0, 0.0], [1.3, -0.4], [-3.0, 2.5]])
+        r = np.linalg.norm(x, axis=-1)
+        assert ring.potential(x) == pytest.approx(12.5 * (r - 2.0) ** 2, rel=1e-14)
+        grad = grad_potential(ring, x)
+        assert np.array_equal(grad[0], [0.0, 0.0])       # exactly 0 at the origin, not NaN
+        expect = 25.0 * ((r[1:] - 2.0) / r[1:])[:, None] * x[1:]
+        assert grad[1:] == pytest.approx(expect, rel=1e-14)
+        assert np.array_equal(grad_potential(ring, np.zeros(2)), [0.0, 0.0])
 
     def test_funnel_gradient(self):
         funnel = make_builtin("funnel", alpha=0.6)
