@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ZeroMassError
-from .numerics import gauss_hermite_normal, rows_times, shifted_points, softmax, weighted_sum
+from .numerics import (gauss_hermite_normal, log_weighted_mean, rows_times, shifted_points,
+                       weighted_sum)
 from .rng import _as_generator
 from .schema import DRIFT_VARIANTS, POOL_DRIFTS
 from .targets import GaussianMixture, TargetSpec, _check_beta
@@ -84,37 +85,37 @@ def make_noise_pool(M, d, rng, antithetic=False) -> NoisePool:
 
 
 class GmmExactDrift:
-    """Closed-form drift for Gaussian-mixture targets, computed component by component.
+    """Closed-form drift for Gaussian-mixture targets: one affine map per component.
 
     The reference N(0, beta I) is isotropic, so in component i's eigenbasis
     (Sigma_i = Q_i diag(lambda_i) Q_i^T) the smoothed covariance
-    C_i(t) = Q_i diag(c_i) Q_i^T, c_i = t lambda_i + (1-t) beta, is diagonal. With rotated
-    coordinates x~ = Q_i^T x and alpha~ = Q_i^T alpha_i, and a_i = (lambda_i - beta) / c_i,
-    b_i = beta alpha~ / c_i, component i drives x~ by a_i x~ + b_i, and its log weight is
-        sum_d x~ (a_i x~ / 2 + b_i) / beta + k_i,
-    k_i = log theta_i - sum_d (log c_i + t alpha~^2 / c_i) / 2. The drift is sum_i p_i Q_i (a_i x~ + b_i), p_i the softmax of the log weights. As the
-    p_i sum to 1 this is the smoothed mean's (sum_i p_i Q_i u~_i - x) / (1 - t) with the
-    division done by hand, so nothing cancels as t -> 1.
+    Q_i diag(v_i) Q_i^T, v_i = t lambda_i + (1-t) beta, is diagonal. With
+    a_i = (lambda_i - beta) / v_i and b_i = beta Q_i^T alpha_i / v_i, component i drives x by
+        U_i = A_i x + c_i,   A_i = Q_i diag(a_i) Q_i^T,   c_i = Q_i b_i,
+    and its log weight is l_i = <U_i + c_i, x> / (2 beta) + k_i, with
+    k_i = log theta_i - sum_d (log v_i + t (Q_i^T alpha_i)^2 / v_i) / 2: the eigenbasis form
+    x~^T diag(a_i) x~ / 2 + b_i^T x~, x~ = Q_i^T x, written in the frame of x. The drift is
+    sum_i e_i U_i / sum_i e_i, e_i = exp(l_i - max_j l_j) (`numerics.log_weighted_mean`).
+    As the normalised weights p_i = e_i / sum_j e_j sum to 1, this is the smoothed mean's
+    (sum_i p_i u_i - x) / (1 - t) with the division done by hand, so nothing cancels as t -> 1.
 
-    The (kappa, d) coefficients depend on t alone. Given the grid t_n = n h, h = 1 / n_steps,
-    that `samplers.sfs_run` steps on, they are built for many grid times in one
-    vectorised pass (`_coefficients`) and looked up by t: one slice of consecutive steps
-    is kept, built when a call first needs it and as long as fits STEP_NOISE_BYTES, with
-    a and b alone for one component. A time off the grid (or any time, with no grid) goes
-    through the same function on [t] alone, so a table hit and a direct call give the same
-    bytes.
+    The maps depend on t alone. Given the grid t_n = n h, h = 1 / n_steps, that
+    `samplers.sfs_run` steps on, they are built for many grid times in one vectorised pass
+    (`_coefficients`) and looked up by t: one slice of consecutive steps is kept, built
+    when a call first needs it and as long as fits STEP_NOISE_BYTES. A time off the grid
+    (or any time, with no grid) goes through the same function on [t] alone, so a table
+    hit and a direct call give the same bytes.
 
-    The log weights form one (kappa, B) array, one row per component from elementwise
-    work on (B, d) arrays, and the softmax reduces over its first axis. With every
-    covariance diagonal (no rotations) the drift is x * sum_i p_i a_i + sum_i p_i b_i,
-    each sum one einsum over the components; otherwise x~ for all components comes from
-    one rotation and the weighted a_i x~ + b_i are rotated back by another. No product
-    runs across the chain axis, so a chain's drift does not depend on how many chains
-    share the call.
+    With every covariance diagonal (no rotations) A_i = diag(a_i) and c_i = b_i, and U is
+    one broadcast multiply-add into a component-major (kappa, B, d) array. Otherwise the
+    table holds the A_i side by side, built with BLAS as every chain shares them, and U is
+    one `rows_times` product into a chain-major (B, kappa, d) array. The log weights are
+    (kappa, B) either way. No product runs across the chain axis, so a chain's drift does
+    not depend on how many chains share the call.
 
-    One component has weight p_1 = 1 (the softmax of one finite log weight is exactly 1),
-    so its log weight is never formed. Where that weight would overflow (x beyond about
-    1e154) a mixture's drift is NaN and a single Gaussian's stays finite.
+    One component returns U_0 and forms no weight. Where the log weights overflow (x
+    beyond about 1e154) a mixture's drift is NaN in that chain's row alone, and a single
+    Gaussian's stays finite.
     """
 
     def __init__(self, target, beta, n_steps=None):
@@ -125,27 +126,32 @@ class GmmExactDrift:
         self.sig = gmm.eigvals                       # (kappa, d)
         self.alpha = gmm.rotated_means               # (kappa, d)
         self.log_theta = np.log(gmm.weights)
-        # divided by c they give a and b
+        # divided by v they give a and b
         self.sig_gap, self.beta_alpha = self.sig - beta, beta * self.alpha
-        self.diagonal = gmm.rotations is None
-        if not self.diagonal:
-            # x @ rot_in stacks x Q_i over components; w @ rot_in.T sums w_i Q_i^T
-            self.rot_in = np.concatenate(gmm.rotations, axis=1)   # (d, kappa d)
+        self.rot = gmm.rotations                     # (kappa, d, d) Q_i, or None
+        self.diagonal = self.rot is None
         from .samplers import STEP_NOISE_BYTES  # samplers imports this module
         step_bytes = sum(v.nbytes for v in self._coefficients(np.zeros(1)))
         self.n_steps, self.slice_steps = n_steps, max(1, STEP_NOISE_BYTES // step_bytes)
         self.table = None, ()   # the first step and the coefficients of the slice built last
 
     def _coefficients(self, t):
-        """For times t (n,): a and b as (n, kappa, d) arrays, and with several components
-        the log-weight constants k (n, kappa) and a / 2."""
+        """For times t (n,): the maps' A and c and, with several components, the log-weight
+        constants k (n, kappa, 1). Diagonal A and c are (n, kappa, 1, d); rotated A is
+        (n, d, kappa d), the A_i side by side for `rows_times`, and c is (n, kappa, d)."""
         t = t[:, None, None]
-        c = t * self.sig
-        c += (1.0 - t) * self.beta
-        a = self.sig_gap / c
-        logw_terms = () if len(self.sig) == 1 else (
-            self.log_theta - 0.5 * np.sum(t * self.alpha**2 / c + np.log(c), axis=-1), 0.5 * a)
-        return (a, np.divide(self.beta_alpha, c, out=c), *logw_terms)   # b takes the buffer of c
+        v = t * self.sig
+        v += (1.0 - t) * self.beta
+        a = self.sig_gap / v
+        k = () if len(self.sig) == 1 else (
+            (self.log_theta - 0.5 * np.sum(t * self.alpha**2 / v + np.log(v), axis=-1))[..., None],)
+        b = np.divide(self.beta_alpha, v, out=v)
+        if self.diagonal:
+            return (a[:, :, None], b[:, :, None], *k)
+        n, kappa, d = a.shape
+        maps = (self.rot * a[:, :, None, :]) @ np.swapaxes(self.rot, -1, -2)   # (n, kappa, d, d)
+        return (np.ascontiguousarray(np.swapaxes(maps, 1, 2)).reshape(n, d, kappa * d),
+                (self.rot @ b[..., None])[..., 0], *k)
 
     def _at(self, t):
         """The coefficients at time t: a row of the grid's table, or built for t alone."""
@@ -163,33 +169,25 @@ class GmmExactDrift:
         t = _check_t(t)
         x = np.asarray(x, dtype=float)
         kappa, d = self.sig.shape
-        a, b, *logw_terms = self._at(t)
+        a, c, *k = self._at(t)
         xf = x.reshape(-1, d)
-        if not self.diagonal:
-            xr = rows_times(xf, self.rot_in).reshape(-1, kappa, d)
-        if kappa > 1:
-            const, half_a = logw_terms
-            logw = np.empty((kappa, xf.shape[0]))
-            for i in range(kappa):
-                xt = xf if self.diagonal else xr[:, i]
-                v = half_a[i] * xt
-                v += b[i]
-                np.einsum("nd,nd->n", v, xt, out=logw[i])
-            logw /= self.beta
-            logw += const[:, None]
-            p = softmax(logw, axis=0)
         if self.diagonal:
-            am, bm = (a[0], b[0]) if kappa == 1 else (np.einsum("kn,kd->nd", p, a),
-                                                      np.einsum("kn,kd->nd", p, b))
-            drift = xf * am
-            drift += bm
+            u = a * xf                                            # (kappa, B, d)
         else:
-            u = xr * a
-            u += b
-            if kappa > 1:
-                u *= p.T[:, :, None]
-            drift = rows_times(u.reshape(-1, kappa * d), self.rot_in.T)
-        return drift.reshape(x.shape)
+            u = rows_times(xf, a).reshape(-1, kappa, d)           # (B, kappa, d)
+        u += c
+        if kappa == 1:
+            return u.reshape(x.shape)
+        w = u + c
+        logw = np.empty((kappa, len(xf)))
+        if self.diagonal:
+            np.einsum("knd,nd->kn", w, xf, out=logw)
+        else:
+            np.einsum("nkd,nd->kn", w, xf, out=logw)
+            u = np.moveaxis(u, 1, 0)
+        logw *= 0.5 / self.beta
+        logw += k[0]
+        return log_weighted_mean(logw, u).reshape(x.shape)
 
 
 class SteinMcDrift:
@@ -261,7 +259,7 @@ class QuadratureDrift:
 
     The n nodes are kept node-axis-last, (d, n): the points are built along the node axis
     (`numerics.shifted_points`), the target gets their (..., n, d) view, and the weighted
-    sum runs along the node axis too.
+    mean over the nodes is the exact drift's (`numerics.log_weighted_mean`).
     """
 
     def __init__(self, target: TargetSpec, beta, n_nodes=QUADRATURE_NODES):
@@ -284,9 +282,8 @@ class QuadratureDrift:
         beta = self.beta
         s = (1.0 - t) * beta
         y = shifted_points(x, np.sqrt(s), self.nodes)
-        logits = self.log_wts + self.target.log_g_beta(beta, y)
-        p = softmax(logits, axis=-1)
-        return np.sqrt(beta / (1.0 - t)) * (self.nodes @ p[..., :, None])[..., 0]
+        logw = self.log_wts + self.target.log_g_beta(beta, y)
+        return np.sqrt(beta / (1.0 - t)) * log_weighted_mean(np.moveaxis(logw, -1, 0), self.nodes.T)
 
 
 def make_drift(target: TargetSpec, beta, variant, pool=None, n_nodes=QUADRATURE_NODES,

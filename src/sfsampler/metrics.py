@@ -8,9 +8,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .drift import make_drift
 from .errors import ConfigError
@@ -68,6 +65,9 @@ def w2_exact_smalln(a, b):
     n = a.shape[0]
     if n > W2_EXACT_MAX_N:
         raise ConfigError(f"exact W2 supports n <= {W2_EXACT_MAX_N}, got {n}")
+    from scipy.optimize import linear_sum_assignment   # scipy loads where it is used
+    from scipy.spatial.distance import cdist
+
     cost = cdist(a, b, metric="sqeuclidean")
     rows, cols = linear_sum_assignment(cost)
     return float(np.sqrt(cost[rows, cols].mean()))
@@ -92,6 +92,8 @@ def sliced_w2(a, b, n_projections=128, rng=None):
 
 
 def _sqrtm_psd(a):
+    from scipy.linalg import eigh
+
     w, v = eigh(a)
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.T
@@ -136,6 +138,8 @@ def default_mode_radius(gmm) -> float:
 
 def mode_weights(batch, centers, radius) -> ModeReport:
     """Assign each sample to the nearest center within `radius`; report weights."""
+    from scipy.spatial.distance import cdist
+
     samples = np.atleast_2d(_as_samples(batch))
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     if centers.shape[0] < 1:

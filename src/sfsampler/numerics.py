@@ -1,4 +1,4 @@
-"""Numerically safe primitives: stable log-sum-exp, Gauss-Hermite rules, SPD matrices."""
+"""Numerically safe primitives: log-sum-exp, weighted means, Gauss-Hermite rules, SPD matrices."""
 
 from __future__ import annotations
 
@@ -25,16 +25,21 @@ def log_sum_exp(w, axis=-1):
     return out
 
 
-def softmax(w, axis=-1):
-    """Stable softmax along `axis`. All-(-inf) slices produce NaN (caller checks)."""
-    w = np.asarray(w, dtype=float)
-    m = w.max(axis=axis, keepdims=True)
-    if not np.isfinite(m).all():
-        m[~np.isfinite(m)] = 0.0
-    e = np.subtract(w, m)
+def log_weighted_mean(logw, u):
+    """sum_i e_i u_i / sum_i e_i over components i, e_i = exp(logw_i - max_j logw_j), for
+    log weights (kappa, ...) and vectors (kappa, ..., d), which may be a strided view.
+
+    The weights are exponentiated in place of logw and never normalised on their own: the
+    (..., d) sum is divided by their total, which is at least 1. A slice whose log weights
+    hold +inf or NaN, or are all -inf, gives NaN in its own row only.
+    """
+    e = logw
+    e -= np.maximum.reduce(e, axis=0)   # the ufunc reductions skip np.max's and np.sum's wrappers
     np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
-    return e
+    total = np.add.reduce(e, axis=0)
+    mean = np.einsum("k...,k...d->...d", e, u)
+    mean /= total[..., None]
+    return mean
 
 
 def weighted_sum(p, v):

@@ -16,13 +16,17 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, GradientUnavailable
-from .numerics import SpdMatrix, log_sum_exp, rows_times, shifted_points, softmax, weighted_sum
+from .numerics import (SpdMatrix, log_sum_exp, log_weighted_mean, rows_times, shifted_points,
+                       weighted_sum)
 from .schema import TARGETS, check
 
 WEIGHT_SUM_TOL = 1e-9
 # log of the smallest nonzero component weight, against the top one, in the mixture pool
 # evaluator: e^-700 is far from underflow, where np.exp leaves its vectorized path
 EXP_FLOOR = -700.0
+# the buffer of squared pool entries the mixture pool evaluator builds its quadratic forms
+# from, a run of whole pools at a time: below glibc's mmap threshold, so it is reused heap
+POOL_RUN_BYTES = 64 * 2**10
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -42,9 +46,10 @@ class GaussianMixture:
     """A mixture sum_i theta_i N(alpha_i, Sigma_i) with normalized weights.
 
     Each covariance is also kept in its eigenbasis, Sigma_i = Q_i diag(lambda_i) Q_i^T,
-    computed once at construction. The exact drift, the component densities and
-    grad V all work in the rotated coordinates Q_i^T x, where every component is
-    diagonal. `rotations` is None when every Sigma_i is diagonal (all Q_i = I).
+    computed once at construction. The component densities work in the rotated
+    coordinates Q_i^T x, where every component is diagonal, and the exact drift builds
+    its per-component maps from the same basis. `rotations` is None when every Sigma_i
+    is diagonal (all Q_i = I).
     """
 
     weights: np.ndarray        # (kappa,)
@@ -117,12 +122,11 @@ class GaussianMixture:
         return -self.log_density(x)
 
     def grad_potential(self, x):
-        """grad V(x) = -grad log p(x) = sum_i p_i(x) w_i, with w_i = Sigma_i^{-1} (x - alpha_i)
-        formed once per component.
-
-        The posterior weights p_i are the softmax over the components of the log weights
-        -w_i.(x - alpha_i) / 2 + log theta_i - log det(2 pi Sigma_i) / 2, whose constant is
-        built at construction. Each chain's row is computed on its own (no BLAS product).
+        """grad V(x) = -grad log p(x) = sum_i e_i W_i / sum_i e_i, the exact drift's weighted
+        mean (`numerics.log_weighted_mean`) of the maps W_i = Sigma_i^{-1} (x - alpha_i), with
+        e_i = exp(l_i - max_j l_j), l_i = -<W_i, x - alpha_i> / 2 + log theta_i
+        - log det(2 pi Sigma_i) / 2 (the constant built at construction). Each chain's row is
+        computed on its own (no BLAS product).
         """
         x = np.asarray(x, dtype=float)
         diff = x.reshape(-1, self.dim) - self.means[:, None, :]           # (kappa, n, d)
@@ -135,7 +139,7 @@ class GaussianMixture:
         logw = np.einsum("knd,knd->kn", w, diff)
         logw *= -0.5
         logw += self._log_coef[:, None]
-        return np.einsum("kn,knd->nd", softmax(logw, axis=0), w).reshape(x.shape)
+        return log_weighted_mean(logw, w).reshape(x.shape)
 
     def sample(self, n, gen):
         """n i.i.d. draws from the mixture."""
@@ -380,18 +384,25 @@ class MixturePoolEvaluator:
         self.target, self.beta, self.xi = target, _check_beta(beta), xi
         gmm = self.gmm = target.mixture
         k = gmm.n_components
-        # the forms' quadratic parts: -xi_j^T P_i xi_j / 2 per component, then ||xi_j||^2 / (2 beta)
-        quad = np.empty((k + 1,) + xi.shape[:-1])
+        # the forms' quadratic parts, -xi_j^T P_i xi_j / 2 per component then ||xi_j||^2 / (2 beta),
+        # over the pools as (N, M, d); a BLAS product is safe: every pool has M >= 2 rows
+        pools = xi.reshape((-1,) + xi.shape[-2:])
+        quad = np.empty((k + 1,) + pools.shape[:-1])
         if gmm.rotations is None:
             coef = np.concatenate([-0.5 * gmm._precision, np.full((1, gmm.dim), 0.5 / self.beta)])
-            np.matmul(np.square(xi), coef.T, out=np.moveaxis(quad, 0, -1))
+            # xi^2 for a run of whole pools at a time, in one buffer of at most POOL_RUN_BYTES
+            run = max(1, POOL_RUN_BYTES // pools[0].nbytes)
+            sq, out = np.empty((min(run, len(pools)),) + pools.shape[1:]), np.moveaxis(quad, 0, -1)
+            for lo in range(0, len(pools), run):
+                n = min(run, len(pools) - lo)
+                np.matmul(np.square(pools[lo : lo + n], out=sq[:n]), coef.T, out=out[lo : lo + n])
         else:
             for i in range(k):
-                # a BLAS product is safe here: every chain's pool has the same M >= 2 rows
-                z = xi @ gmm.rotations[i]
+                z = pools @ gmm.rotations[i]
                 z *= gmm._inv_sd[i]
                 quad[i] = -0.5 * _sq_norm(z)
-            quad[k] = _sq_norm(xi) / (2.0 * self.beta)
+            quad[k] = _sq_norm(pools) / (2.0 * self.beta)
+        quad = quad.reshape((k + 1,) + xi.shape[:-1])
         self.quad, self.log_coef, self.precision = quad, gmm._log_coef, gmm._precision
 
     def _times_precision(self, u):

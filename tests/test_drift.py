@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import softmax
 
 from sfsampler import (
     GmmExactDrift,
@@ -23,8 +24,8 @@ from sfsampler import (
     run_ensemble,
     strong_error_curve,
 )
-from sfsampler.errors import ConfigError, ZeroMassError
-from sfsampler.numerics import softmax
+from sfsampler import samplers, targets
+from sfsampler.errors import ConfigError, DivergenceError, ZeroMassError
 from sfsampler.samplers import STEP_NOISE_BYTES, SfsConfig
 from sfsampler.targets import (
     EXP_FLOOR, MixturePoolEvaluator, PoolEvaluator, RadialPoolEvaluator, log_g_and_grad, log_g_beta,
@@ -253,8 +254,8 @@ class TestComponentMajorDrift:
 
     @pytest.mark.parametrize("d", [1, 5, 100])
     def test_one_component_equals_its_two_halves(self, d):
-        # the one-component path skips the log weight, whose softmax is exactly 1; two
-        # equal halves take the general path with weights exactly 0.5
+        # the one-component path returns U_0 and forms no weight; two equal halves take
+        # the general path, where both weights are exactly 1 and their total exactly 2
         gen = np.random.default_rng(d)
         mean, var = gen.standard_normal(d), gen.uniform(0.2, 3.0, d)
         one = GmmExactDrift(make_gaussian_mixture([1.0], [mean], [var]), 1.3)
@@ -289,6 +290,59 @@ class TestComponentMajorDrift:
         assert np.all(err <= 1e-14 * np.maximum(np.max(np.abs(x), axis=-1), 1.0))
 
 
+class TestAffineMixtureKernel:
+    """Edge cases of the one weighted mean the exact drift and grad V share."""
+
+    FAR_APART = make_gaussian_mixture([0.75, 0.25], [-40.0, 40.0], [0.2, 0.8])
+
+    @pytest.mark.parametrize(
+        "target",
+        [make_gaussian_mixture([0.75, 0.25], [-6.0, 6.0], [0.2, 0.8]), FAR_APART,
+         five_d_mixture(), make_two_mode_gmm(10, separation=6.0, variance=0.25)],
+        ids=["bimodal_1d", "far_apart_1d", "full_d5", "two_mode_d10"],
+    )
+    def test_finite_batches_raise_no_floating_point_error(self, target):
+        # the far tail (x = 80 near t = 1) and, for the far-apart pair, a component whose
+        # weight underflows to exactly 0 against the other's
+        gen = np.random.default_rng(9)
+        x = np.concatenate([gen.standard_normal((64, target.dim)) * 4.0,
+                            np.full((2, target.dim), 80.0), np.full((2, target.dim), -40.0)])
+        drift = GmmExactDrift(target, 1.0)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for t in (0.0, 0.5, 0.999):
+                assert np.isfinite(drift(x, t)).all()
+            assert np.isfinite(target.mixture.grad_potential(x)).all()
+        if target is self.FAR_APART:
+            # at x = -40 the component at +40 weighs about exp(-2720) against the other: 0 in
+            # floats, so the drift is the first component's map alone
+            alone = GmmExactDrift(make_gaussian_mixture([1.0], [-40.0], [0.2]), 1.0)
+            assert drift(x[-1:], 0.0).tobytes() == alone(x[-1:], 0.0).tobytes()
+
+    def test_an_overflowing_chain_fails_in_its_own_row(self, monkeypatch):
+        target = make_gaussian_mixture([0.75, 0.25], [-6.0, 6.0], [0.2, 0.8])
+        drift = GmmExactDrift(target, 1.0)
+        x = np.random.default_rng(10).standard_normal((9, 1)) * 3.0
+        x[4] = 1e160   # its log weights overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = drift(x, 0.5)
+        assert not np.isfinite(got[4]).any()
+        assert np.delete(got, 4, axis=0).tobytes() == drift(np.delete(x, 4, axis=0), 0.5).tobytes()
+        # in an ensemble: chain 4's first increment takes it to 1e160, and the next step's
+        # drift fails that chain alone
+        chunks = samplers.increment_chunks
+
+        def poisoned(streams, n_steps, d, workers=1):
+            for start, chunk in chunks(streams, n_steps, d, workers):
+                if start == 0:
+                    chunk[4, 0] = 1e160
+                yield start, chunk
+
+        monkeypatch.setattr(samplers, "increment_chunks", poisoned)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+            run_ensemble(SfsConfig(n_steps=20), target, 9, 0)
+        assert (err.value.step, err.value.chains) == (1, [4])
+
+
 def rotated_d3_mixture():
     """Three rotated components in d = 3."""
     gen = np.random.default_rng(12)
@@ -297,8 +351,13 @@ def rotated_d3_mixture():
                                  [0.5 * (c + c.T) for c in covs])
 
 
-def one_gaussian(d):
-    return make_gaussian_mixture([1.0], [np.linspace(-2.0, 2.0, d)], [np.geomspace(0.25, 4.0, d)])
+def one_gaussian(d, rotated=False):
+    variances = np.geomspace(0.25, 4.0, d)
+    if not rotated:
+        return make_gaussian_mixture([1.0], [np.linspace(-2.0, 2.0, d)], [variances])
+    q, _ = np.linalg.qr(np.random.default_rng(d).standard_normal((d, d)))
+    cov = (q * variances) @ q.T
+    return make_gaussian_mixture([1.0], [np.linspace(-2.0, 2.0, d)], [0.5 * (cov + cov.T)])
 
 
 class TestTimeTable:
@@ -307,10 +366,12 @@ class TestTimeTable:
     @pytest.mark.parametrize(
         "target",
         [make_gaussian_mixture([0.75, 0.25], [-6.0, 6.0], [0.2, 0.8]), rotated_d3_mixture(),
-         one_gaussian(100)],
-        ids=["diagonal_k2_d1", "rotated_k3_d3", "one_component_d100"],
+         one_gaussian(100), one_gaussian(100, rotated=True)],
+        ids=["diagonal_k2_d1", "rotated_k3_d3", "one_component_d100", "rotated_one_component_d100"],
     )
     def test_every_grid_time_and_off_grid_time_keeps_the_bytes(self, target):
+        # a rotated target's table holds (kappa, d, d) maps per step, built by one BLAS
+        # product per slice
         n_steps, beta = 1000, 1.3
         gridded, plain = GmmExactDrift(target, beta, n_steps), GmmExactDrift(target, beta)
         assert gridded.slice_steps < n_steps or target.dim < 100
@@ -350,18 +411,24 @@ class TestTimeTable:
         strong_error_curve(target, SfsConfig(n_steps=2), [2.0**-k for k in range(3, 7)], 9, 64, 1)
         assert calls == [1, 2**9]
 
-    @pytest.mark.parametrize("kappa", [1, 2])
-    def test_a_long_wide_grid_stays_within_the_byte_budget(self, kappa):
-        d, n_steps = 200, 10_000
-        target = make_gaussian_mixture([1.0 / kappa] * kappa, np.zeros((kappa, d)),
-                                       [np.geomspace(0.25, 4.0, d)] * kappa)
+    @pytest.mark.parametrize("kappa, rotated", [(1, False), (2, False), (1, True)],
+                             ids=["1", "2", "rotated_1"])
+    def test_a_long_wide_grid_stays_within_the_byte_budget(self, kappa, rotated):
+        # the rotated d = 100 maps take 80 kB a step, so a slice holds six steps
+        d, n_steps = (100, 2_000) if rotated else (200, 10_000)
+        if rotated:
+            target = one_gaussian(d, rotated=True)
+        else:
+            target = make_gaussian_mixture([1.0 / kappa] * kappa, np.zeros((kappa, d)),
+                                           [np.geomspace(0.25, 4.0, d)] * kappa)
         drift = GmmExactDrift(target, 1.0, n_steps)
+        assert drift.diagonal != rotated
         x = np.ones((2, d))
         rows = 0
         for n in range(0, n_steps, 37):
             drift(x, n * (1.0 / n_steps))
             coefficients = drift.table[1]
-            assert len(coefficients) == (2 if kappa == 1 else 4)   # a, b (k and a / 2)
+            assert len(coefficients) == (2 if kappa == 1 else 3)   # A, c (and k)
             assert sum(v.nbytes for v in coefficients) <= STEP_NOISE_BYTES
             rows = max(rows, len(coefficients[0]))
         assert rows == drift.slice_steps > 1
@@ -670,6 +737,24 @@ class TestPoolFrame:
             finally:
                 tracemalloc.stop()
             assert peak < 8e6, (target.kind, form, peak)
+
+    def test_pool_squares_are_built_a_run_of_pools_at_a_time(self, monkeypatch):
+        # xi^2 over a (128, 200, 10) block would take 2 MB beside the 0.6 MB forms; runs of
+        # whole pools give the same bytes whatever the run length, one pool at a time too
+        target = make_two_mode_gmm(10, separation=6.0, variance=0.25)
+        xi = stacked_pool(128, 200, 10).xi
+        tracemalloc.start()
+        try:
+            quad = MixturePoolEvaluator(target, 5.0, xi).quad
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < quad.nbytes + targets.POOL_RUN_BYTES + 2e5, peak
+        for run_bytes in (1, 3 * xi[0].nbytes, xi.nbytes):
+            monkeypatch.setattr(targets, "POOL_RUN_BYTES", run_bytes)
+            assert MixturePoolEvaluator(target, 5.0, xi).quad.tobytes() == quad.tobytes()
+        single = MixturePoolEvaluator(target, 5.0, xi[7]).quad
+        assert single.shape == (3, 200) and single.tobytes() == quad[:, 7].tobytes()
 
 
 def row_points(x, r, xi):

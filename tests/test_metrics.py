@@ -1,6 +1,9 @@
 """Tests for Wasserstein estimators, mode/moment reports, and convergence fits."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,8 +21,20 @@ from sfsampler import (
     w2_1d,
     w2_exact_smalln,
 )
+import sfsampler
 from sfsampler import metrics
 from sfsampler.errors import ConfigError
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    # the metrics import scipy where they use it, so `import sfsampler` and every sfs-bench
+    # start skip its import (about 0.3 s)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sfsampler.__file__)))
+    code = ("import sys, sfsampler, sfsampler.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestW21d:

@@ -1,11 +1,12 @@
-"""Tests for the numeric primitives: log-sum-exp, Gauss-Hermite, SPD matrices."""
+"""Tests for the numeric primitives: log-sum-exp, weighted means, Gauss-Hermite, SPD matrices."""
 
 import numpy as np
 import pytest
+from scipy.special import softmax
 
 from sfsampler import SpdMatrix, gauss_hermite, gauss_hermite_normal, log_sum_exp
 from sfsampler.errors import ConfigError
-from sfsampler.numerics import softmax
+from sfsampler.numerics import log_weighted_mean
 
 
 class TestLogSumExp:
@@ -35,32 +36,47 @@ class TestLogSumExp:
         assert log_sum_exp(w, axis=-1) == pytest.approx(naive, abs=1e-14)
 
 
-class TestSoftmax:
-    def test_sums_to_one(self):
-        rng = np.random.default_rng(1)
-        w = rng.standard_normal((4, 6)) * 50
-        p = softmax(w, axis=-1)
+class TestLogWeightedMean:
+    """sum_i e_i u_i / sum_i e_i over the leading component axis, e_i = exp(l_i - max_j l_j)."""
+
+    @staticmethod
+    def unit_vectors(kappa, n):
+        # u_i the i-th unit vector in every row: the mean is the row's normalised weights
+        return np.broadcast_to(np.eye(kappa)[:, None, :], (kappa, n, kappa))
+
+    def test_unit_vectors_give_weights_summing_to_one(self):
+        w = np.random.default_rng(1).standard_normal((6, 4)) * 50
+        p = log_weighted_mean(w.copy(), self.unit_vectors(6, 4))
         assert np.sum(p, axis=-1) == pytest.approx(np.ones(4))
+        assert np.max(np.abs(p - softmax(w, axis=0).T)) <= 1e-15
 
-    def test_extreme_logits_no_overflow(self):
-        p = softmax(np.array([1e4, 0.0]))
-        assert p == pytest.approx([1.0, 0.0])
+    def test_extreme_log_weights_no_overflow(self):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            p = log_weighted_mean(np.array([[1e4], [0.0]]), self.unit_vectors(2, 1))
+        assert p[0] == pytest.approx([1.0, 0.0])
 
-    @pytest.mark.parametrize("axis", [0, -1])
-    def test_bytes_equal_the_reference_formula(self, axis):
-        # exp(w - m) / sum, m the max with non-finite maxima set to 0: all-(-inf) slices
-        # give NaN, a +inf logit NaN for its slice, -inf entries weight 0
-        w = np.random.default_rng(2).standard_normal((6, 5)) * 40
-        w[1] = -np.inf
-        w[3, 2] = np.inf
+    @pytest.mark.parametrize("layout", ["component_major", "chain_major_view"])
+    def test_bytes_equal_the_reference_formula(self, layout):
+        # the total divides the weighted sum; an all-(-inf) row and a +inf weight give NaN
+        # in their own row, -inf entries weight 0, and the log weights are overwritten by e
+        gen = np.random.default_rng(2)
+        w = gen.standard_normal((5, 6)) * 40
+        w[:, 1] = -np.inf
+        w[2, 3] = np.inf
         w[4, 0] = w[0, 4] = -np.inf
-        m = np.max(w, axis=axis, keepdims=True)
-        m[~np.isfinite(m)] = 0.0
+        vectors = gen.standard_normal((6, 5, 3))                       # chain-major (n, kappa, d)
+        u = np.moveaxis(vectors, 1, 0)
+        if layout == "component_major":
+            u = np.ascontiguousarray(u)
         with np.errstate(invalid="ignore"):
-            e = np.exp(w - m)
-            expect = e / np.sum(e, axis=axis, keepdims=True)
-            got = softmax(w, axis=axis)
+            e = np.exp(w - np.max(w, axis=0))
+        expect = np.einsum("kn,knd->nd", e, np.ascontiguousarray(u)) / np.sum(e, axis=0)[:, None]
+        logw = w.copy()
+        with np.errstate(invalid="ignore"):
+            got = log_weighted_mean(logw, u)
         assert got.tobytes() == expect.tobytes()
+        assert logw.tobytes() == e.tobytes()
+        assert np.isnan(got[[1, 3]]).all() and np.isfinite(np.delete(got, [1, 3], axis=0)).all()
 
 
 class TestGaussHermite:

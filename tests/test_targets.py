@@ -219,7 +219,8 @@ def mixture_points(target, gen):
 
 
 class TestMixtureGradient:
-    """The softmax mixture gradient against the log-sum-exp formula and finite differences."""
+    """The mixture gradient, a weighted mean of the components' maps, against the log-sum-exp
+    formula and finite differences."""
 
     @pytest.mark.parametrize("kappa", [1, 2, 3])
     @pytest.mark.parametrize("rotated", [False, True], ids=["diagonal", "rotated"])
